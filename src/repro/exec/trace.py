@@ -1,6 +1,10 @@
-"""Dynamic-trace records produced by the functional executors.
+"""Dynamic-trace records: the object view of a packed trace.
 
-The timing model consumes a stream of :class:`FetchUnit`\\ s, each holding
+The functional executors record the dynamic stream as
+:class:`~repro.sim.packed.PackedTrace` columns;
+:meth:`~repro.sim.packed.PackedTrace.units` turns it back into
+:class:`FetchUnit`\\ s for the streaming timing engine, the trace
+cache and analysis tools. Each unit holds
 :class:`DynOp`\\ s. A ``DynOp`` carries everything timing needs: latency
 class, dataflow predecessors (dynamic op ids of the producers of its
 source registers, plus the producing store for loads), and the memory
@@ -9,9 +13,6 @@ model.
 """
 
 from __future__ import annotations
-
-from repro.isa.latencies import LATENCY
-from repro.isa.opcodes import OPCODE_INFO
 
 
 class DynOp:
@@ -54,10 +55,6 @@ class DynOp:
         )
 
     __hash__ = None  # mutable record
-
-
-#: opcode -> execution latency (precomputed from Table 1)
-OP_LATENCY = {op: LATENCY[info.klass] for op, info in OPCODE_INFO.items()}
 
 
 class FetchUnit:

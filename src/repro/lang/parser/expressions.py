@@ -42,22 +42,32 @@ _BIN_TOKENS = {
 }
 
 
+#: binary operator token -> (operator text, precedence); a higher
+#: precedence binds tighter (the index of its _BIN_LEVELS entry)
+_BIN_OPS = {
+    kind: (text, level)
+    for kind, text in _BIN_TOKENS.items()
+    for level, texts in enumerate(_BIN_LEVELS)
+    if text in texts
+}
+
+
 class ExpressionParserMixin(ParserBase):
     def parse_expr(self) -> ast.Expr:
         return self._binary(0)
 
-    def _binary(self, level: int) -> ast.Expr:
-        if level >= len(_BIN_LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        ops = _BIN_LEVELS[level]
+    def _binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing: fold every operator binding at least as
+        tightly as *min_prec*, left-associatively."""
+        left = self._unary()
         while True:
             tok = self.peek()
-            op = _BIN_TOKENS.get(tok.kind)
-            if op is None or op not in ops:
+            entry = _BIN_OPS.get(tok.kind)
+            if entry is None or entry[1] < min_prec:
                 return left
+            op, prec = entry
             self.next()
-            right = self._binary(level + 1)
+            right = self._binary(prec + 1)
             left = ast.BinOp(op=op, left=left, right=right, line=tok.line)
 
     def _unary(self) -> ast.Expr:

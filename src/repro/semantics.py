@@ -22,6 +22,8 @@ _SIGN = 1 << 63
 
 def wrap64(value: int) -> int:
     """Wrap a Python int to signed 64-bit two's complement."""
+    if -_SIGN <= value < _SIGN:
+        return value
     value &= _MASK
     return value - (1 << 64) if value & _SIGN else value
 
@@ -92,6 +94,19 @@ _FLOAT_BIN = {
 }
 
 
+def binop(op: IrOp):
+    """``(fn, conv)`` for an IR binary op: ``fn(conv(a), conv(b))`` is
+    its value. Lets callers that evaluate one op many times look it up
+    once (the functional executors pre-decode with it)."""
+    fn = _INT_BIN.get(op)
+    if fn is not None:
+        return fn, int
+    fn = _FLOAT_BIN.get(op)
+    if fn is not None:
+        return fn, float
+    raise ValueError(f"{op} is not a binary op")
+
+
 def eval_binop(op: IrOp, a, b):
     """Evaluate an IR binary op on concrete values."""
     fn = _INT_BIN.get(op)
@@ -103,16 +118,23 @@ def eval_binop(op: IrOp, a, b):
     raise ValueError(f"{op} is not a binary op")
 
 
+_UNARY = {
+    IrOp.NEG: lambda a: wrap64(-int(a)),
+    IrOp.FNEG: lambda a: -float(a),
+    IrOp.NOT: lambda a: int(int(a) == 0),
+    IrOp.ITOF: lambda a: float(int(a)),
+    IrOp.FTOI: lambda a: wrap64(int(float(a))),
+}
+
+
+def unop(op: IrOp):
+    """The function evaluating IR unary *op* on a concrete value."""
+    fn = _UNARY.get(op)
+    if fn is None:
+        raise ValueError(f"{op} is not a unary op")
+    return fn
+
+
 def eval_unop(op: IrOp, a):
     """Evaluate an IR unary op on a concrete value."""
-    if op is IrOp.NEG:
-        return wrap64(-int(a))
-    if op is IrOp.FNEG:
-        return -float(a)
-    if op is IrOp.NOT:
-        return int(int(a) == 0)
-    if op is IrOp.ITOF:
-        return float(int(a))
-    if op is IrOp.FTOI:
-        return wrap64(int(float(a)))
-    raise ValueError(f"{op} is not a unary op")
+    return unop(op)(a)

@@ -1,15 +1,15 @@
 """Packed fetch-unit traces: capture a dynamic stream once, replay it fast.
 
-The functional executors produce the dynamic fetch-unit stream as Python
-objects (:class:`~repro.exec.trace.FetchUnit` holding
-:class:`~repro.exec.trace.DynOp`\\ s). That stream depends only on the
-program and the predictor configuration — *not* on icache geometry,
-latencies, or window sizes — yet historically every machine-config sweep
-point re-ran the whole functional executor and re-interpreted every op
-through dict/heap-based Python.
+The dynamic fetch-unit stream depends only on the program and the
+predictor configuration — *not* on icache geometry, latencies, or window
+sizes — so one functional execution serves every machine-config sweep
+point.
 
-:class:`PackedTrace` materializes one stream into flat ``array`` columns
-(structure of arrays):
+:class:`PackedTrace` holds one stream as flat ``array`` columns
+(structure of arrays), which the functional executors fill directly
+(:meth:`PackedTrace.empty`); :meth:`PackedTrace.units` is its object
+view as :class:`~repro.exec.trace.FetchUnit`\\ s holding
+:class:`~repro.exec.trace.DynOp`\\ s:
 
 ==================  ====  =====================================================
 column              type  meaning
@@ -27,12 +27,13 @@ column              type  meaning
 ``deps``            q     producer references as **dense op indices**
 ==================  ====  =====================================================
 
-Dependences are renumbered from executor uids to dense positions in the
-op column at capture time, so the replay loop can keep completion times
-in a flat list indexed by position instead of a dict keyed by uid; the
-original uids are kept in ``op_uid`` so :meth:`units` reconstructs the
-stream losslessly. Icache line spans (first/last line per unit) are
-precomputed per line size and cached on the trace.
+Dependences are recorded as dense positions in the op column (the
+executors track each register's last writer by position), so the replay
+loop can keep completion times in a flat list indexed by position
+instead of a dict keyed by uid; the executor uids are kept in
+``op_uid`` so :meth:`units` reproduces them exactly. Icache line spans
+(first/last line per unit) are precomputed per line size and cached on
+the trace.
 
 The serialized form (:meth:`to_bytes`/:meth:`from_bytes`) is a small
 struct header plus the raw little-endian columns — deterministic for a
@@ -129,15 +130,28 @@ class PackedTrace:
         #: per-geometry cache-outcome vectors); same lifecycle as _spans
         self._vprep: dict = {}
 
-    # -- capture -------------------------------------------------------
+    # -- construction --------------------------------------------------
+
+    @classmethod
+    def empty(cls) -> "PackedTrace":
+        """A trace with no units, ready to have its columns appended to.
+
+        The functional executors fill one directly, a unit at a time:
+        append the unit's ops (and their deps, then each op's
+        ``op_dep_start`` end), then the unit's row and its
+        ``unit_op_start`` end.
+        """
+        return cls(*(
+            array(code, [0] if name in ("unit_op_start", "op_dep_start")
+                  else [])
+            for name, code in _COLUMNS
+        ))
 
     @classmethod
     def capture(cls, units: Iterable[FetchUnit]) -> "PackedTrace":
-        """Materialize a fetch-unit stream into packed columns.
-
-        The stream is consumed exactly once (it may be a live executor
-        generator — the functional execution happens *during* capture).
-        """
+        """Materialize a fetch-unit object stream into packed columns
+        (hand-built or transformed streams; the executors fill their
+        columns directly, see :meth:`empty`)."""
         unit_addr = array("q")
         unit_size = array("q")
         unit_resolve = array("q")

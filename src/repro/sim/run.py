@@ -3,8 +3,8 @@
 Since the packed-trace subsystem (docs/performance.md) this module
 splits one simulation into two phases:
 
-* **capture** — run the functional executor (with its predictor) once
-  and pack the dynamic fetch-unit stream into a
+* **capture** — run the functional executor (with its predictor) once;
+  it writes the dynamic fetch-unit stream straight into a
   :class:`~repro.sim.packed.PackedTrace`, bundled with the architectural
   counters as a :class:`CapturedRun`. The stream depends only on the
   program and the predictor configuration
@@ -18,8 +18,10 @@ splits one simulation into two phases:
 historical signatures (capture + replay in one call, bit-identical
 results); callers sweeping machine configs — the experiment engine, the
 Fig. 6/7 icache sweeps — capture once and replay per config.
-:func:`simulate_streaming` keeps the original single-pass path alive as
-the oracle the packed path is tested against.
+:func:`simulate_streaming` replays the same capture through the object
+view (``trace.units()``) and the streaming
+:meth:`~repro.sim.engine.TimingEngine.run` — an independent timing path
+the packed replay is tested against.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def capture_conventional(
     tel = telemetry if telemetry is not None else get_telemetry()
     executor, predictor = _conventional_executor(prog, config)
     with tel.span("sim.capture", benchmark=prog.name, isa="conventional"):
-        trace = PackedTrace.capture(executor.units())
+        trace = executor.capture()
     return CapturedRun(
         name=prog.name,
         isa="conventional",
@@ -292,7 +294,7 @@ def capture_block_structured(
     tel = telemetry if telemetry is not None else get_telemetry()
     executor, predictor = _block_executor(prog, config)
     with tel.span("sim.capture", benchmark=prog.name, isa="block"):
-        trace = PackedTrace.capture(executor.units())
+        trace = executor.capture()
     return CapturedRun(
         name=prog.name,
         isa="block",
@@ -512,12 +514,13 @@ def simulate_streaming(
     telemetry: Telemetry | None = None,
     insight=None,
 ) -> SimResult:
-    """The original single-pass path: the timing engine consumes the
-    executor's live generator, no trace is materialized.
+    """Capture, then time the stream's :class:`FetchUnit` object view
+    with the streaming :meth:`TimingEngine.run`.
 
-    Kept as the reference oracle for the packed path: tests and
-    ``bsisa perf`` assert :func:`replay_captured` produces bit-identical
-    results (``dataclasses.asdict`` equality) to this function.
+    Kept as the reference for the packed replay: tests and ``bsisa
+    perf`` assert :func:`replay_captured` produces bit-identical results
+    (``dataclasses.asdict`` equality) to this function. (The independent
+    *functional* reference is the IR interpreter, through cosim.)
     """
     config = config or MachineConfig()
     tel = telemetry if telemetry is not None else get_telemetry()
@@ -535,7 +538,7 @@ def simulate_streaming(
         config, atomic_window=atomic, telemetry=tel, insight=insight
     )
     with tel.span("sim.simulate", benchmark=prog.name, isa=isa):
-        timing = engine.run(executor.units())
+        timing = engine.run(executor.capture().units())
     result = build(
         prog.name,
         timing,

@@ -7,10 +7,11 @@ import pytest
 
 from repro.backend.enlarge import EnlargeConfig
 from repro.check import CosimChecker
+from repro.exec.block import BlockExecutor
 from repro.obs import Telemetry
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingEngine
-from repro.sim.packed import PackedTrace
+from repro.sim.packed import F_SQUASHED
 
 from tests.conftest import FEATURE_PROGRAM
 
@@ -83,16 +84,14 @@ class TestBrokenPrograms:
         """A trace capture that mislabels a squashed unit as clean
         must be caught by the retired-stream / conservation checks."""
 
-        def tampered(units):
-            def strip(stream):
-                for unit in stream:
-                    unit.squashed = False
-                    yield unit
+        def tampered(self):
+            trace = tampered.orig(self)
+            for u, flags in enumerate(trace.unit_flags):
+                trace.unit_flags[u] = flags & ~F_SQUASHED
+            return trace
 
-            return tampered.orig(strip(units))
-
-        tampered.orig = PackedTrace.capture
-        monkeypatch.setattr(PackedTrace, "capture", tampered)
+        tampered.orig = BlockExecutor.capture
+        monkeypatch.setattr(BlockExecutor, "capture", tampered)
         report = CosimChecker().check_source(SMALL_PROGRAM, "tampered")
         assert not report.ok
 
