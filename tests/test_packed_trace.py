@@ -83,6 +83,18 @@ class TestRoundTrip:
         trace = PackedTrace.capture(iter(units))
         assert list(trace.units()) == units
 
+    @pytest.mark.parametrize("isa", ["conventional", "block"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_executor_columns_repack_identically(self, seed, isa):
+        """The columns an executor writes directly equal packing their
+        own object view: dense deps agree with the uids they name."""
+        source = generate_program(random.Random(f"columns:{seed}"))
+        pair = Toolchain().compile(source, f"columns{seed}")
+        prog = pair.conventional if isa == "conventional" else pair.block
+        config = MachineConfig(perfect_bp=bool(seed % 2))
+        captured = capture_run(prog, isa, config)
+        assert PackedTrace.capture(captured.trace.units()) == captured.trace
+
     def test_benchmark_round_trip_preserves_uids_and_deps(self):
         units = _units(_pair("compress").block, "block", MachineConfig())
         trace = PackedTrace.capture(iter(units))
