@@ -235,6 +235,12 @@ def bench_document_errors(doc) -> list[str]:
         for field in ("vector_match", "sweep_match"):
             if field in entry and not isinstance(entry[field], bool):
                 errors.append(f"{where}: {field} must be a bool")
+        if "kernel_fallbacks" in entry:
+            value = entry["kernel_fallbacks"]
+            if type(value) is not int or value < 0:
+                errors.append(
+                    f"{where}: kernel_fallbacks must be a non-negative int"
+                )
     totals = doc.get("totals")
     if not isinstance(totals, dict):
         errors.append("totals must be an object")

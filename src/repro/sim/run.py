@@ -353,9 +353,11 @@ def prepare_sweep(
     ``(line_bytes, num_sets)`` geometry group — covering every
     associativity in the group — plus the config-independent column
     decodings, so the subsequent per-config replays only pay vectorized
-    comparisons and the timing spine. On the ``python`` kernel (or when
-    numpy is absent) it is a no-op: the batch degrades to grouped
-    scalar replay, still bit-identical, just without the shared work.
+    comparisons and the timing spine. It only precomputes: each config
+    replays through the same exact spine whether or not the trace was
+    primed. On the ``python`` kernel (or when numpy is absent) it is a
+    no-op: the batch degrades to grouped scalar replay, still
+    bit-identical, just without the shared work.
 
     Counts ``sweep.configs_batched`` on *telemetry* and returns the
     number of geometry groups traversed (0 on the scalar path).

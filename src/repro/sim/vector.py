@@ -1,4 +1,4 @@
-"""Vectorized packed-trace replay: the hot loop at column speed.
+"""Vectorized packed-trace replay: column-speed precompute, one exact spine.
 
 :func:`replay_packed_vector` replays a :class:`~repro.sim.packed.PackedTrace`
 on a :class:`~repro.sim.engine.TimingEngine` and produces
@@ -10,44 +10,42 @@ is integer arithmetic, so equality with the scalar replayer is exact,
 not approximate (enforced by the three-way differential tests in
 ``tests/test_vector_kernel.py``).
 
-The design splits the replay into three ingredients:
+The replay splits into two halves:
 
-* **timing-independent precompute**, fully vectorized over whole columns
-  and cached on the trace (``PackedTrace._vprep``): dependence columns
-  decoded once, :func:`span_lines` expands the icache line spans into
-  the flat access stream, LRU hit/miss outcomes come from
-  :func:`lru_hits` (cache behaviour is a pure function of the access
-  *sequence*, never of prior hit results), per-unit fetch costs and
-  effective op latencies with dcache-miss penalties folded in;
-* a **lean serial spine** carrying only the values with genuine
-  loop-carried dependences (fetch redirect chains and producer→consumer
-  completion times over the dense dep edges); the precomputed
-  :func:`wavefront_levels` bound how deep those chains can reach, and
-  on the fastest path the spine degenerates to pure array scans;
-* **closed-form retirement**: the in-order ``retire_width``-limited
-  retirement recurrence has exact solution
-  ``r[m] = max_j (ready[j] + (m - j) // W)``, which :func:`retire_scan`
-  evaluates with a handful of ``maximum.accumulate`` calls per
-  wavefront instead of per-op bookkeeping (atomic blocks retire through
-  an O(1) per-block closed form instead).
+* **timing-independent precompute**, vectorized over whole columns and
+  cached on the trace (``PackedTrace._vprep``): dependence columns
+  decoded once into per-op tuples, :func:`span_lines` expands the
+  icache line spans into the flat access stream, hit/miss outcomes per
+  cache geometry come from saturating :func:`stack_distances` (cache
+  behaviour is a pure function of the access *sequence*, and one
+  traversal per ``(line_bytes, num_sets)`` group decides every
+  associativity), per-unit fetch costs and effective op latencies with
+  dcache-miss penalties folded in;
+* **one exact serial timing spine per ISA**: :func:`_conv_window_pass`
+  for the conventional ISA (op-window slots, the unit-checkpoint window,
+  the FU busy table and in-order retirement carried inline) and
+  :func:`_block_pass` for the block-structured ISA (the atomic-window
+  release heap, the FU busy table and an O(1) closed form for atomic
+  block retirement). Each spine models every resource the engine
+  models on every run, so there is no optimistic pass to prove and no
+  re-run when an assumption fails.
 
-Function-unit contention and (on the fastest path) window gating are
-handled *optimistically*: the spine assumes they never bind, then a
-vectorized post-pass proves it (per-cycle issue counts via ``bincount``,
-window release times against dispatch cycles). The proof is an induction
-on the first would-be violation: if the optimistic schedule never
-exceeds a capacity, the serial engine made identical decisions at every
-step. When validation fails, the kernel re-runs the spine with that
-resource modeled exactly; shapes the kernel does not model (mixed
-atomic/non-atomic streams, malformed resolve indices, zero-op
-conventional units) make :func:`replay_packed_vector` return ``None``
-and the caller falls back to the scalar replayer — never silently
-wrong, at worst slower.
+The spine's result is memoized on the trace under a content key — the
+config fields it reads plus the content keys of its fetch and latency
+preps — so sweep geometries whose per-unit miss vectors coincide share
+one spine run.
+
+Shapes the kernel does not model (malformed resolve indices, mixed
+atomic/non-atomic block streams, conventional streams with atomic,
+squashed, empty or over-window units) make :func:`replay_packed_vector`
+return ``None`` and the caller falls back to the scalar replayer —
+never silently wrong. Each decline counts in :data:`FALLBACKS` and, with
+telemetry enabled, in ``sim.kernel_fallbacks{reason=...}``.
 
 ``numpy`` is optional everywhere: when absent ``HAVE_NUMPY`` is False,
 :func:`replay_packed_vector` returns ``None``, and
-:func:`repro.sim.run.replay_captured` silently keeps using the scalar
-loop (see docs/performance.md).
+:func:`repro.sim.run.replay_captured` keeps using the scalar loop (see
+docs/performance.md).
 """
 
 from __future__ import annotations
@@ -78,10 +76,6 @@ KERNEL_RUNS = 0
 #: Replays the kernel declined (unsupported shape / numpy absent); the
 #: caller falls back to ``TimingEngine.run_packed``.
 FALLBACKS = 0
-
-#: Sentinel low enough that ``_NEG - row + row`` can never beat a real
-#: retire candidate (completion times are non-negative).
-_NEG = -(1 << 60)
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +155,12 @@ def _mtf_distances(sub, num_sets, cap):
     return out
 
 
-def lru_hits(lines, num_sets, assoc):
-    """Hit/miss outcome per access for a set-associative LRU cache.
-
-    Exact for :class:`repro.sim.cache.Cache`: whether access *t* hits
-    depends only on which distinct same-set lines were touched since the
-    previous access to the same line — never on earlier hit/miss
-    outcomes — so the whole vector is decidable from the sequence alone.
-    Folded into the :func:`stack_distances` pass: the hit vector is the
-    comparison ``distance < assoc``, and callers replaying a sweep share
-    one distance traversal across every associativity of a set-count
-    group instead of re-walking the stream per geometry.
-    """
-    return stack_distances(lines, num_sets, assoc) < assoc
-
-
 def lru_hits_listwise(lines, num_sets, assoc):
     """The original per-geometry move-to-front LRU pass.
 
-    Kept as the property-test oracle for :func:`stack_distances` /
-    :func:`lru_hits` (tests/test_vector_kernel.py cross-checks all
-    three against the real :class:`~repro.sim.cache.Cache`). Not used
-    on any replay path.
+    Kept as the property-test oracle for :func:`stack_distances`
+    (tests/test_vector_kernel.py cross-checks both against the real
+    :class:`~repro.sim.cache.Cache`). Not used on any replay path.
     """
     lines = _np.asarray(lines, dtype=_np.int64)
     n = len(lines)
@@ -212,78 +190,6 @@ def lru_hits_listwise(lines, num_sets, assoc):
         ways.insert(0, line)
     hits[idx] = out
     return hits
-
-
-def retire_scan(mins, width, carry=None):
-    """Exact vectorized in-order bandwidth-limited retirement.
-
-    ``mins[m]`` is the earliest cycle op *m* may retire (its completion
-    time + 1). Returns ``(retire, carry)`` where ``retire[m]`` equals
-    the serial engine's ``retire_cycle`` after retiring op *m*, and
-    ``carry`` seeds the next wavefront (the last ``width`` retire
-    cycles). The serial recurrence
-
-        ``r[m] = max(mins[m], r[m-1], r[m-width] + 1)``
-
-    has least solution ``r[m] = max_{j<=m}(mins[j] + (m-j)//width)``;
-    splitting positions by residue class modulo ``width`` turns that
-    into row/column running maxima over a ``(blocks, width)`` grid.
-    """
-    width = int(width)
-    mins = _np.asarray(mins, dtype=_np.int64)
-    m = len(mins)
-    if carry is None:
-        # The engine's cold state (retire_cycle=0) behaves like a full
-        # wavefront retired at cycle 0 — it never binds because every
-        # real candidate is >= 1.
-        carry = _np.zeros(width, dtype=_np.int64)
-    if m == 0:
-        return _np.empty(0, dtype=_np.int64), carry
-    vals = _np.concatenate([carry, mins])
-    length = width + m
-    nblocks = -(-length // width)
-    pad = nblocks * width - length
-    if pad:
-        vals = _np.concatenate([vals, _np.full(pad, _NEG, dtype=_np.int64)])
-    rows = _np.arange(nblocks, dtype=_np.int64)[:, None]
-    grid = _np.maximum.accumulate(vals.reshape(nblocks, width) - rows, axis=0)
-    # Best candidate from columns <= t of any row <= r ...
-    left = _np.maximum.accumulate(grid, axis=1)
-    # ... and from columns > t, which cost one fewer whole block.
-    right = _np.full_like(grid, _NEG)
-    if width > 1:
-        right[:, :-1] = _np.maximum.accumulate(
-            grid[:, ::-1], axis=1
-        )[:, ::-1][:, 1:]
-    out = left + rows
-    out[1:] = _np.maximum(out[1:], right[:-1] + rows[1:] - 1)
-    out = out.reshape(-1)[width:width + m]
-    if m >= width:
-        carry = out[-width:].copy()
-    else:
-        carry = _np.concatenate([carry[m - width:], out])
-    return out, carry
-
-
-def wavefront_levels(dep_start, deps, num_ops):
-    """Dataflow level per op: 0 for ops with no producers, else
-    ``1 + max(level[producer])``.
-
-    The packed dep columns are topologically ordered (producers precede
-    consumers), so one forward sweep levelizes the whole DAG; ops
-    sharing a level form a wavefront that could resolve together. Used
-    by the differential tests to cross-check the spine's dependence
-    resolution and by trace analytics.
-    """
-    levels = [0] * num_ops
-    for i in range(num_ops):
-        top = -1
-        for d in range(dep_start[i], dep_start[i + 1]):
-            lvl = levels[deps[d]]
-            if lvl > top:
-                top = lvl
-        levels[i] = top + 1
-    return _np.array(levels, dtype=_np.int64) if _np is not None else levels
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +242,6 @@ def _base_prep(trace: PackedTrace) -> dict:
     }
     dmask = mem >= 0
     prep = {
-        "uos": uos,
         "uos_l": uos.tolist(),
         "nops": nops,
         "squashed": squashed,
@@ -347,7 +252,6 @@ def _base_prep(trace: PackedTrace) -> dict:
         "at_l": atomic.tolist(),
         "res_l": resolve.tolist(),
         "resolve": resolve,
-        "lat": lat,
         "ops": ops,
         "extras": extras,
         "dmask": dmask,
@@ -545,17 +449,15 @@ def prepare_sweep(trace: PackedTrace, configs) -> int:
     of re-walking the access stream. Also primes the shared
     config-independent preps (base columns, line spans).
 
+    It only precomputes: a primed trace replays through the same spine
+    as a cold one, so the results cannot depend on whether it ran.
+
     Returns the number of geometry groups traversed (0 when numpy is
     unavailable — the scalar fallback has no shared precompute).
     """
     if _np is None:
         return 0
     base = _base_prep(trace)
-    # Batched mode: cold spines run the always-exact FU-modeled pass
-    # directly (see _block_replay) — the optimistic-variant probe only
-    # pays off on warm re-replays that the per-content spine memo
-    # already short-circuits within a batch.
-    base["batched"] = True
     ic_groups: dict = {}
     dc_groups: dict = {}
     for config in configs:
@@ -576,17 +478,18 @@ def prepare_sweep(trace: PackedTrace, configs) -> int:
     return len(ic_groups) + len(dc_groups)
 
 
-def _fetch_prep(trace, ic, l2, fetch_lines):
+def _fetch_prep(trace, ic, line_bytes, l2, fetch_lines):
     """Per-unit fetch-cycle counts and stalls for (geometry, l2, width).
 
     Keyed by the geometry's per-unit miss *content* — not its identity —
     so sweep geometries whose miss vectors coincide (e.g. every size a
     benchmark's code fits in sees the same compulsory misses) share one
-    prep dict, and through it one memoized timing spine: identical
-    per-unit miss counts mean identical fetch schedules, hence
-    identical replay timing, by construction.
+    prep dict, and through its ``key`` one memoized timing spine: the
+    same line size (hence the same per-unit line counts) and identical
+    per-unit miss counts mean identical fetch schedules, hence identical
+    replay timing, by construction.
     """
-    key = ("fetch", l2, fetch_lines, ic["miss_key"])
+    key = ("fetch", line_bytes, l2, fetch_lines, ic["miss_key"])
     prep = trace._vprep.get(key)
     if prep is None:
         nlines = ic["nlines"]
@@ -594,6 +497,7 @@ def _fetch_prep(trace, ic, l2, fetch_lines):
         stall = _np.where(ic["unit_miss"] > 0, l2, 0)
         adv = fc - 1 + stall  # fetch_end - fetch, per unit
         prep = {
+            "key": key,
             "fc_l": fc.tolist(),
             "stall_l": stall.tolist(),
             "adv_l": adv.tolist(),
@@ -604,22 +508,17 @@ def _fetch_prep(trace, ic, l2, fetch_lines):
 
 
 def _lat_prep(trace, base, dc, l2):
-    """Spine op tuples / latency vector with dcache-miss l2 folded in."""
-    key = ("lat", l2, tuple(dc["miss_load_idx"]))
+    """Spine op tuples with dcache-miss l2 folded into the latencies."""
+    key = ("lat", l2, dc["miss_load_idx"])
     prep = trace._vprep.get(key)
     if prep is None:
-        idx = dc["miss_load_idx"]
-        if idx:
-            ops = list(base["ops"])
-            lat_eff = base["lat"].copy()
-            for i in idx:
+        ops = base["ops"]
+        if dc["miss_load_idx"]:
+            ops = list(ops)
+            for i in dc["miss_load_idx"]:
                 p1, p2, p3, lt = ops[i]
                 ops[i] = (p1, p2, p3, lt + l2)
-                lat_eff[i] += l2
-        else:
-            ops = base["ops"]
-            lat_eff = base["lat"]
-        prep = {"ops": ops, "lat_eff": lat_eff}
+        prep = {"key": key, "ops": ops}
         trace._vprep[key] = prep
     return prep
 
@@ -627,6 +526,14 @@ def _lat_prep(trace, base, dc, l2):
 # ---------------------------------------------------------------------------
 # The replay kernel
 # ---------------------------------------------------------------------------
+
+
+def _decline(tel, reason):
+    """Count one replay handed back to the scalar path; returns None."""
+    global FALLBACKS
+    FALLBACKS += 1
+    tel.count("sim.kernel_fallbacks", reason=reason)
+    return None
 
 
 def replay_packed_vector(engine, trace: PackedTrace):
@@ -638,16 +545,16 @@ def replay_packed_vector(engine, trace: PackedTrace):
     and returns the stats object. Returns ``None`` when the kernel
     cannot guarantee bit-exactness for this trace/config shape — the
     caller must then run ``engine.run_packed`` on the (untouched)
-    engine.
+    engine. Each decline is counted under one reason: ``no_numpy``,
+    ``bad_resolve``, ``mixed_atomic`` or ``conventional_shape``.
     """
-    global KERNEL_RUNS, FALLBACKS
+    global KERNEL_RUNS
+    tel = engine.telemetry if engine.telemetry is not None else get_telemetry()
     if _np is None:
-        FALLBACKS += 1
-        return None
+        return _decline(tel, "no_numpy")
 
     config = engine.config
     atomic_window = engine.atomic_window
-    tel = engine.telemetry if engine.telemetry is not None else get_telemetry()
     events = tel.trace if tel.enabled else None
     ins = engine.insight
     stats = engine.stats
@@ -670,20 +577,16 @@ def replay_packed_vector(engine, trace: PackedTrace):
     # Shapes the kernel does not model: fall back (exactness first).
     flagged = squashed | mispredict
     if bool(_np.any(flagged & ((resolve < 0) | (resolve >= nops_v)))):
-        FALLBACKS += 1
-        return None  # the scalar path raises SimulationError
+        return _decline(tel, "bad_resolve")  # the scalar path raises
     if atomic_window:
         if bool(_np.any(~atomic & ~squashed)):
-            FALLBACKS += 1
-            return None
-    else:
-        if (
-            bool(_np.any(atomic | squashed))
-            or bool(_np.any(nops_v == 0))
-            or int(nops_v.max()) > config.window_ops
-        ):
-            FALLBACKS += 1
-            return None
+            return _decline(tel, "mixed_atomic")
+    elif (
+        bool(_np.any(atomic | squashed))
+        or bool(_np.any(nops_v == 0))
+        or int(nops_v.max()) > config.window_ops
+    ):
+        return _decline(tel, "conventional_shape")
 
     line_bytes = (
         config.icache.line_bytes if config.icache is not None else 64
@@ -694,29 +597,24 @@ def replay_packed_vector(engine, trace: PackedTrace):
     l2 = config.l2_latency
     ic = _icache_prep(trace, engine.icache, line_bytes, events is not None)
     dc = _dcache_prep(trace, base, engine.dcache, dline_bytes)
-    fetch = _fetch_prep(trace, ic, l2, config.fetch_lines)
+    fetch = _fetch_prep(trace, ic, line_bytes, l2, config.fetch_lines)
     lat = _lat_prep(trace, base, dc, l2)
 
     need_aux = events is not None or ins is not None
-    # Spine memo key: the fetch/lat prep dicts are cached on the trace
-    # under *content* keys (per-unit miss bytes, dcache miss-load
-    # tuple), so their ids identify everything the timing spine reads —
-    # sweep geometries whose miss vectors coincide share one spine run
-    # outright, and the rest share the memoized pass choice.
-    sig = (
+    # Spine memo: the config fields the spine reads plus the content
+    # keys of the fetch/lat preps (per-unit miss bytes, dcache miss-load
+    # indices), so sweep geometries whose miss vectors coincide share
+    # one spine run outright.
+    run_key = (
+        "vrun", atomic_window, need_aux,
         config.fu_count, config.window_ops, config.window_blocks,
         config.retire_width, config.frontend_depth,
-        config.mispredict_penalty, l2, config.fetch_lines,
-        id(fetch), id(lat),
+        config.mispredict_penalty, fetch["key"], lat["key"],
     )
-    run_key = ("vrun", atomic_window, need_aux) + sig
     run = base.get(run_key)
     if run is None:
-        if atomic_window:
-            run = _block_replay(engine, base, fetch, lat, need_aux, sig)
-        else:
-            run = _conv_replay(engine, base, fetch, lat, need_aux, sig)
-        base[run_key] = run
+        spine = _block_pass if atomic_window else _conv_window_pass
+        run = base[run_key] = spine(base, fetch, lat, config, need_aux)
     (completes, unit_retire_l, wstall, rstall, next_fetch, max_cycle,
      gap_l, wd_l) = run
 
@@ -762,222 +660,18 @@ def replay_packed_vector(engine, trace: PackedTrace):
 
 
 # ---------------------------------------------------------------------------
-# Conventional-ISA replay
+# Conventional-ISA spine
 # ---------------------------------------------------------------------------
 
 
-def _conv_replay(engine, base, fetch, lat, need_aux, sig):
-    """Dispatch to the cheapest conventional pass that is provably
-    exact for this (trace, config) pair.
-
-    Cold: try the optimistic no-gating pass, prove it with the
-    vectorized window/FU validations; when a window binds, drop to the
-    serial windowed spine (unit-window-only when the trace geometry
-    proves the op window can never bind; full otherwise), with the FU
-    dict only when the bincount proof fails. The surviving pass is
-    memoized per config signature on the trace, so warm replays jump
-    straight to it with no wasted passes.
-    """
-    config = engine.config
-    depth = config.frontend_depth
-    penalty = config.mispredict_penalty
-    width = config.retire_width
-    uos = base["uos"]
-    nu = len(uos) - 1
-    path_key = ("cpath",) + sig
-    path = base.get(path_key)
-    # Trace-local warm-start hints keyed by the non-geometry config
-    # fields (sig minus the fetch/lat prep ids): once one sweep
-    # geometry learns "a window binds" / "the FUs bind" under this
-    # machine shape, sibling geometries skip the doomed optimistic
-    # passes. A stale hint costs speed, never correctness — the
-    # windowed / FU-exact spine is exact for every shape.
-    win_hint = ("cwinhint",) + sig[:-2]
-    fu_hint = ("cfuhint",) + sig[:-2]
-
-    if path is None:
-        if not base.get(win_hint):
-            completes, d0_l, rstall, next_fetch, gap_l = _conv_fast_pass(
-                base, fetch, lat, depth, penalty, need_aux
-            )
-            c_np = _np.array(completes, dtype=_np.int64)
-            retire, _ = retire_scan(c_np + 1, width)
-            d0_np = _np.array(d0_l, dtype=_np.int64)
-            n = len(completes)
-            cap_ops = config.window_ops
-            cap_units = config.window_blocks
-            # Op-granular window: slot g frees at retire[g] and gates op
-            # g + window_ops, whose un-gated dispatch is its unit's d0.
-            ok = n <= cap_ops or bool(
-                _np.all(
-                    retire[: n - cap_ops]
-                    <= _np.repeat(d0_np, base["nops"])[cap_ops:]
-                )
-            )
-            # Unit-granular checkpoint window: unit u's slot frees when
-            # its last op retires and gates unit u + window_blocks.
-            if ok and nu > cap_units:
-                unit_retire = retire[uos[1:] - 1]
-                ok = bool(
-                    _np.all(
-                        unit_retire[: nu - cap_units] <= d0_np[cap_units:]
-                    )
-                )
-            if ok and _fu_ok(c_np, lat["lat_eff"], config.fu_count):
-                base[path_key] = ("fast",)
-                retire_l = retire.tolist()
-                max_cycle = max(retire_l[-1], next_fetch - 1)
-                unit_retire_l = wd_l = None
-                if need_aux:
-                    uos_l = base["uos_l"]
-                    unit_retire_l = [
-                        retire_l[uos_l[u + 1] - 1] for u in range(nu)
-                    ]
-                    wd_l = [0] * nu
-                return (completes, unit_retire_l, 0, rstall, next_fetch,
-                        max_cycle, gap_l, wd_l)
-            base[win_hint] = True
-        cap_ops = config.window_ops
-        cap_units = config.window_blocks
-        # A window (or the FUs) binds: pick the serial windowed spine.
-        # When every window of window_blocks consecutive units (and the
-        # leading partial window) holds at most window_ops ops, an op's
-        # window slot has always been freed by the time the op-pop
-        # would read it — retire is monotone here and the unit gate
-        # already waited for a later retire — so the pass may skip
-        # op-slot bookkeeping entirely.
-        unit_only = base["uos_l"][min(cap_units, nu)] <= cap_ops and (
-            nu <= cap_units
-            or bool(_np.all(uos[cap_units:] - uos[:-cap_units] <= cap_ops))
-        )
-        if base.get(fu_hint):
-            run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                    True, unit_only)
-            base[path_key] = ("win", unit_only, True)
-        else:
-            run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                    False, unit_only)
-            if _fu_ok(
-                _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
-                config.fu_count,
-            ):
-                base[path_key] = ("win", unit_only, False)
-            else:
-                base[fu_hint] = True
-                run = _conv_window_pass(base, fetch, lat, config,
-                                        need_aux, True, unit_only)
-                base[path_key] = ("win", unit_only, True)
-    elif path[0] == "fast":
-        completes, d0_l, rstall, next_fetch, gap_l = _conv_fast_pass(
-            base, fetch, lat, depth, penalty, need_aux
-        )
-        retire, _ = retire_scan(
-            _np.array(completes, dtype=_np.int64) + 1, width
-        )
-        retire_l = retire.tolist()
-        max_cycle = max(retire_l[-1], next_fetch - 1)
-        unit_retire_l = wd_l = None
-        if need_aux:
-            uos_l = base["uos_l"]
-            unit_retire_l = [retire_l[uos_l[u + 1] - 1] for u in range(nu)]
-            wd_l = [0] * nu
-        return (completes, unit_retire_l, 0, rstall, next_fetch,
-                max_cycle, gap_l, wd_l)
-    else:
-        _, unit_only, need_fu = path
-        run = _conv_window_pass(base, fetch, lat, config, need_aux,
-                                need_fu, unit_only)
-
-    (completes, rc, wstall, rstall, next_fetch, gap_l, wd_l,
-     unit_retire_l) = run
-    max_cycle = max(rc, next_fetch - 1)
-    return (completes, unit_retire_l, wstall, rstall, next_fetch,
-            max_cycle, gap_l, wd_l)
-
-
-def _fu_ok(completes, lat_eff, fu_count):
-    """Prove the optimistic schedule never oversubscribes the function
-    units: if no cycle issues more than ``fu_count`` ops even in the
-    whole-trace histogram, the serial reservation loop returned
-    ``start == ready`` for every op (induction on op order: prefix
-    counts never exceed total counts)."""
-    if len(completes) == 0:
-        return True
-    starts = completes - lat_eff
-    return int(_np.bincount(starts).max()) <= fu_count
-
-
-def _conv_fast_pass(base, fetch, lat, depth, penalty, need_aux):
-    """Serial spine assuming no window gating and no FU contention."""
-    uos_l = base["uos_l"]
-    adv_l = fetch["adv_l"]
-    mis_l = base["mis_l"]
-    res_l = base["res_l"]
-    ops = lat["ops"]
-    extras = base["extras"]
-    ex_get = extras.get
-    has_ex = bool(extras)
-    nu = len(uos_l) - 1
-    c = [0] * uos_l[-1]
-    d0_l = [0] * nu
-    gap_l = [0] * nu if need_aux else None
-    nf = 0
-    ra = 0
-    rstall = 0
-    for u in range(nu):
-        lo = uos_l[u]
-        hi = uos_l[u + 1]
-        if ra > nf:
-            if need_aux:
-                gap_l[u] = ra - nf
-            rstall += ra - nf
-            f0 = ra
-        else:
-            f0 = nf
-        fe = f0 + adv_l[u]
-        nf = fe + 1
-        d0 = fe + depth
-        d0_l[u] = d0
-        d01 = d0 + 1
-        for i in range(lo, hi):
-            p1, p2, p3, lt = ops[i]
-            if p1 < 0:
-                c[i] = d01 + lt
-            else:
-                t = c[p1]
-                ready = t if t > d01 else d01
-                if p2 >= 0:
-                    t = c[p2]
-                    if t > ready:
-                        ready = t
-                    if p3 >= 0:
-                        t = c[p3]
-                        if t > ready:
-                            ready = t
-                        if has_ex:
-                            e = ex_get(i)
-                            if e is not None:
-                                for q in e:
-                                    t = c[q]
-                                    if t > ready:
-                                        ready = t
-                c[i] = ready + lt
-        if mis_l[u]:
-            ra = c[lo + res_l[u]] + 1 + penalty
-    return c, d0_l, rstall, nf, gap_l
-
-
-def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
-                      unit_only):
-    """Exact serial spine with window gating and in-order retirement
+def _conv_window_pass(base, fetch, lat, config, need_aux):
+    """Exact serial conventional spine: op-window slots, the
+    unit-checkpoint window, the FU busy table and in-order retirement
     carried inline.
 
-    ``unit_only`` skips op-granular window slots when the caller has
-    proven (from trace geometry) that they can never bind.  ``use_fu``
-    switches from optimistic FU scheduling to exact modeling via a
-    cycle-indexed busy-count table.  Returns ``(completes,
-    final_retire, wstall, rstall, next_fetch, gap_l, wd_l,
-    unit_retire_l)``.
+    Returns ``(completes, unit_retire_l, wstall, rstall, next_fetch,
+    max_cycle, gap_l, wd_l)``; ``gap_l``/``wd_l`` are ``None`` unless
+    *need_aux*.
     """
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
@@ -999,7 +693,8 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
     # is a retire cycle (monotone non-decreasing here), so heap-pop
     # order equals push order and the pop before op g / unit u reads
     # exactly element g - cap_ops / u - cap_units (zeros never gate).
-    op_release = [0] * cap_ops if not unit_only else None
+    op_release = [0] * cap_ops
+    ora = op_release.append
     unit_release = [0] * cap_units
     ur_append = unit_release.append
     gap_l = [0] * nu if need_aux else None
@@ -1010,11 +705,10 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
     wstall = 0
     rc = 0  # retire cycle
     rcnt = 0  # ops retired at rc
-    if use_fu:
-        # Busy FUs per cycle, list-indexed (cheaper than a dict in the
-        # hot loop); grown on demand.
-        fu = [0] * 4096
-        fulen = 4096
+    # Busy FUs per cycle, list-indexed (cheaper than a dict in the hot
+    # loop); grown on demand.
+    fu = [0] * 4096
+    fulen = 4096
     for u in range(nu):
         lo = uos_l[u]
         hi = uos_l[u + 1]
@@ -1032,236 +726,72 @@ def _conv_window_pass(base, fetch, lat, config, need_aux, use_fu,
         if rel > d:
             wstall += rel - d
             d = rel
-        if not use_fu:
-            if unit_only:
-                d1 = d + 1
-                for i in range(lo, hi):
-                    p1, p2, p3, lt = ops[i]
-                    ready = d1
-                    if p1 >= 0:
-                        t = c[p1]
+        for i in range(lo, hi):
+            v = op_release[i]
+            if v > d:
+                d = v
+            p1, p2, p3, lt = ops[i]
+            ready = d + 1
+            if p1 >= 0:
+                t = c[p1]
+                if t > ready:
+                    ready = t
+                if p2 >= 0:
+                    t = c[p2]
+                    if t > ready:
+                        ready = t
+                    if p3 >= 0:
+                        t = c[p3]
                         if t > ready:
                             ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
+                        if has_ex:
+                            e = ex_get(i)
+                            if e is not None:
+                                for q in e:
+                                    t = c[q]
+                                    if t > ready:
+                                        ready = t
+            if ready >= fulen:
+                fu += [0] * (ready - fulen + 4096)
+                fulen = ready + 4096
+            busy = fu[ready]
+            while busy >= fu_count:
+                ready += 1
+                if ready >= fulen:
+                    fu += [0] * 4096
+                    fulen += 4096
+                busy = fu[ready]
+            fu[ready] = busy + 1
+            ci = ready + lt
+            c[i] = ci
+            if ci >= rc:
+                rc = ci + 1
+                rcnt = 1
+            elif rcnt >= width:
+                rc += 1
+                rcnt = 1
             else:
-                ora = op_release.append
-                for i in range(lo, hi):
-                    v = op_release[i]
-                    if v > d:
-                        d = v
-                    p1, p2, p3, lt = ops[i]
-                    ready = d + 1
-                    if p1 >= 0:
-                        t = c[p1]
-                        if t > ready:
-                            ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-                    ora(rc)
-        else:
-            if unit_only:
-                d1 = d + 1
-                for i in range(lo, hi):
-                    p1, p2, p3, lt = ops[i]
-                    ready = d1
-                    if p1 >= 0:
-                        t = c[p1]
-                        if t > ready:
-                            ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    if ready >= fulen:
-                        fu += [0] * (ready - fulen + 4096)
-                        fulen = ready + 4096
-                    busy = fu[ready]
-                    while busy >= fu_count:
-                        ready += 1
-                        if ready >= fulen:
-                            fu += [0] * 4096
-                            fulen += 4096
-                        busy = fu[ready]
-                    fu[ready] = busy + 1
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-            else:
-                ora = op_release.append
-                for i in range(lo, hi):
-                    v = op_release[i]
-                    if v > d:
-                        d = v
-                    p1, p2, p3, lt = ops[i]
-                    ready = d + 1
-                    if p1 >= 0:
-                        t = c[p1]
-                        if t > ready:
-                            ready = t
-                        if p2 >= 0:
-                            t = c[p2]
-                            if t > ready:
-                                ready = t
-                            if p3 >= 0:
-                                t = c[p3]
-                                if t > ready:
-                                    ready = t
-                                if has_ex:
-                                    e = ex_get(i)
-                                    if e is not None:
-                                        for q in e:
-                                            t = c[q]
-                                            if t > ready:
-                                                ready = t
-                    if ready >= fulen:
-                        fu += [0] * (ready - fulen + 4096)
-                        fulen = ready + 4096
-                    busy = fu[ready]
-                    while busy >= fu_count:
-                        ready += 1
-                        if ready >= fulen:
-                            fu += [0] * 4096
-                            fulen += 4096
-                        busy = fu[ready]
-                    fu[ready] = busy + 1
-                    ci = ready + lt
-                    c[i] = ci
-                    if ci >= rc:
-                        rc = ci + 1
-                        rcnt = 1
-                    elif rcnt >= width:
-                        rc += 1
-                        rcnt = 1
-                    else:
-                        rcnt += 1
-                    ora(rc)
+                rcnt += 1
+            ora(rc)
         if mis_l[u]:
             ra = c[lo + res_l[u]] + 1 + penalty
         if need_aux:
             wd_l[u] = d - fe - depth
         ur_append(rc)
-    unit_retire_l = unit_release[cap_units:]
-    return (c, rc, wstall, rstall, nf, gap_l, wd_l, unit_retire_l)
+    max_cycle = max(rc, nf - 1)
+    return (c, unit_release[cap_units:], wstall, rstall, nf, max_cycle,
+            gap_l, wd_l)
 
 
 # ---------------------------------------------------------------------------
-# Block-structured replay (atomic window)
+# Block-structured spine (atomic window)
 # ---------------------------------------------------------------------------
 
 
-def _block_replay(engine, base, fetch, lat, need_aux, sig):
-    """Atomic-window replay: real (tiny) release heap per unit, O(1)
-    closed-form block retirement, optimistic FU with exact re-run (the
-    surviving choice memoized per config signature)."""
-    config = engine.config
-    path_key = ("bpath",) + sig
-    path = base.get(path_key)
-    # Same trace-local FU warm-start as the conventional path: a
-    # sibling sweep geometry that needed exact FU modeling under this
-    # machine shape sends later cold spines straight to it.
-    fu_hint = ("bfuhint",) + sig[:-2]
-    if path is None:
-        if base.get(fu_hint):
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-            base[path_key] = True
-            return run
-        if base.get("batched"):
-            # Batched sweeps skip the optimistic probe and run the
-            # always-exact FU-modeled pass once: the spine result is
-            # memoized per geometry content, so the probe could only
-            # pay off on warm re-replays a batch never performs. The
-            # saturation check still recovers the optimistic warm path
-            # when provably identical (an FU delay requires a
-            # saturated issue cycle).
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-            starts = _np.array(run[0], dtype=_np.int64) - lat["lat_eff"]
-            need_fu = bool(len(starts)) and (
-                int(_np.bincount(starts).max()) >= config.fu_count
-            )
-            base[path_key] = need_fu
-            if need_fu:
-                base[fu_hint] = True
-            return run
-        run = _block_pass(base, fetch, lat, config, need_aux, False)
-        if _fu_ok(
-            _np.array(run[0], dtype=_np.int64), lat["lat_eff"],
-            config.fu_count,
-        ):
-            base[path_key] = False
-        else:
-            base[fu_hint] = True
-            run = _block_pass(base, fetch, lat, config, need_aux, True)
-            base[path_key] = True
-        return run
-    return _block_pass(base, fetch, lat, config, need_aux, path)
-
-
-def _block_pass(base, fetch, lat, config, need_aux, use_fu):
+def _block_pass(base, fetch, lat, config, need_aux):
+    """Exact serial block-structured spine: a real (tiny) release heap
+    per unit, the FU busy table and O(1) closed-form block retirement.
+    Returns the same tuple shape as :func:`_conv_window_pass`."""
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
     sq_l = base["sq_l"]
@@ -1287,9 +817,8 @@ def _block_pass(base, fetch, lat, config, need_aux, use_fu):
     hpop = heapq.heappop
     rc = 0  # retire cycle
     rcnt = 0  # ops already retired at rc
-    if use_fu:
-        fu = [0] * 4096
-        fulen = 4096
+    fu = [0] * 4096
+    fulen = 4096
     maxrel = 0
     nf = 0
     ra = 0
@@ -1323,71 +852,43 @@ def _block_pass(base, fetch, lat, config, need_aux, use_fu):
             wd_l[u] = d0 - fe - depth
         d01 = d0 + 1
         bl = 0
-        if not use_fu:
-            for i in range(lo, hi):
-                p1, p2, p3, lt = ops[i]
-                ready = d01
-                if p1 >= 0:
-                    t = c[p1]
+        for i in range(lo, hi):
+            p1, p2, p3, lt = ops[i]
+            ready = d01
+            if p1 >= 0:
+                t = c[p1]
+                if t > ready:
+                    ready = t
+                if p2 >= 0:
+                    t = c[p2]
                     if t > ready:
                         ready = t
-                    if p2 >= 0:
-                        t = c[p2]
+                    if p3 >= 0:
+                        t = c[p3]
                         if t > ready:
                             ready = t
-                        if p3 >= 0:
-                            t = c[p3]
-                            if t > ready:
-                                ready = t
-                            if has_ex:
-                                e = ex_get(i)
-                                if e is not None:
-                                    for q in e:
-                                        t = c[q]
-                                        if t > ready:
-                                            ready = t
-                ci = ready + lt
-                c[i] = ci
-                if ci > bl:
-                    bl = ci
-        else:
-            for i in range(lo, hi):
-                p1, p2, p3, lt = ops[i]
-                ready = d01
-                if p1 >= 0:
-                    t = c[p1]
-                    if t > ready:
-                        ready = t
-                    if p2 >= 0:
-                        t = c[p2]
-                        if t > ready:
-                            ready = t
-                        if p3 >= 0:
-                            t = c[p3]
-                            if t > ready:
-                                ready = t
-                            if has_ex:
-                                e = ex_get(i)
-                                if e is not None:
-                                    for q in e:
-                                        t = c[q]
-                                        if t > ready:
-                                            ready = t
+                        if has_ex:
+                            e = ex_get(i)
+                            if e is not None:
+                                for q in e:
+                                    t = c[q]
+                                    if t > ready:
+                                        ready = t
+            if ready >= fulen:
+                fu += [0] * (ready - fulen + 4096)
+                fulen = ready + 4096
+            busy = fu[ready]
+            while busy >= fu_count:
+                ready += 1
                 if ready >= fulen:
-                    fu += [0] * (ready - fulen + 4096)
-                    fulen = ready + 4096
+                    fu += [0] * 4096
+                    fulen += 4096
                 busy = fu[ready]
-                while busy >= fu_count:
-                    ready += 1
-                    if ready >= fulen:
-                        fu += [0] * 4096
-                        fulen += 4096
-                    busy = fu[ready]
-                fu[ready] = busy + 1
-                ci = ready + lt
-                c[i] = ci
-                if ci > bl:
-                    bl = ci
+            fu[ready] = busy + 1
+            ci = ready + lt
+            c[i] = ci
+            if ci > bl:
+                bl = ci
         if sq_l[u]:
             release = c[lo + res_l[u]] + 1
             ra = release

@@ -14,6 +14,7 @@ from repro.obs.schema import (
     BENCH_SCHEMA_ID,
     bench_document_errors,
 )
+from repro.sim import vector
 from repro.sim.tracecache import simulate_conventional_with_trace_cache
 from repro.workloads import SUITE
 
@@ -44,6 +45,21 @@ def test_bench_schema_rejects_malformed():
     errors = bench_document_errors(doc)
     assert len(errors) == 3
     assert bench_document_errors([]) == ["document must be a JSON object"]
+
+
+def test_kernel_fallbacks_column_is_recorded_and_validated():
+    """With numpy, every entry counts its kernel fallbacks (0 on suite
+    workloads); the schema accepts only non-negative ints."""
+    doc = benchmark_suite(["compress"], SCALE)
+    if not vector.HAVE_NUMPY:
+        assert all("kernel_fallbacks" not in e for e in doc["benchmarks"])
+        return
+    assert [e["kernel_fallbacks"] for e in doc["benchmarks"]] == [0, 0]
+    for bad in (-1, 1.0, True, "0"):
+        doc["benchmarks"][0]["kernel_fallbacks"] = bad
+        assert bench_document_errors(doc) == [
+            "benchmarks[0]: kernel_fallbacks must be a non-negative int"
+        ], bad
 
 
 def test_perf_spans_recorded_with_enabled_telemetry():

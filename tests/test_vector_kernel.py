@@ -1,13 +1,13 @@
 """Vectorized replay kernel (repro.sim.vector): three-way differential
 bit-identity, property tests for the kernel primitives, numpy-absent
-fallbacks, and the cosim/fuzz promotion (an injected off-by-one
-wavefront bug must be caught and shrink small).
+and unsupported-shape fallbacks, and the cosim/fuzz promotion (an
+injected off-by-one retirement bug must be caught and shrink small).
 
 The kernel's contract is *exact* equality — every SimResult field,
 every InsightReport counter, every published metric series — against
 both the scalar replayer and the streaming engine. There is no float
-tolerance anywhere: the timing model is all-integer and the kernel's
-float use is confined to pre-proven bookkeeping (docs/performance.md).
+tolerance anywhere: the timing model and the kernel are all-integer
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 from repro.core.toolchain import Toolchain
 from repro.engine import build_plan
 from repro.errors import SimulationError
+from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS
 from repro.insight import InsightCollector
 from repro.obs import Telemetry
@@ -113,8 +114,8 @@ class TestThreeWayDifferential:
             ) == report, spec
 
     def test_warm_replay_stays_exact(self):
-        """Second and third replays of one trace ride the memoized
-        fast/windowed path decisions — they must stay bit-identical."""
+        """Second and third replays of one trace are answered by the
+        spine memo — they must stay bit-identical."""
         config = MachineConfig()
         for isa in ("conventional", "block"):
             prog = getattr(_pair("compress"), isa)
@@ -283,42 +284,8 @@ class TestKernelSelection:
 # ---------------------------------------------------------------------------
 
 
-def _retire_reference(mins, width):
-    """Brute-force least solution of the retirement recurrence
-    r[m] = max(mins[m], r[m-1], r[m-width] + 1)."""
-    out = []
-    for m in range(len(mins)):
-        out.append(max(mins[j] + (m - j) // width for j in range(m + 1)))
-    return out
-
-
 @needs_numpy
 class TestPrimitiveProperties:
-    @given(
-        mins=st.lists(st.integers(1, 50), min_size=1, max_size=60),
-        width=st.integers(1, 8),
-    )
-    @settings(max_examples=60)
-    def test_retire_scan_matches_serial_recurrence(self, mins, width):
-        got, _ = vector.retire_scan(np.array(mins, dtype=np.int64), width)
-        assert got.tolist() == _retire_reference(mins, width)
-
-    @given(
-        mins=st.lists(st.integers(1, 50), min_size=2, max_size=60),
-        width=st.integers(1, 8),
-        data=st.data(),
-    )
-    @settings(max_examples=60)
-    def test_retire_scan_carry_is_split_invariant(self, mins, width, data):
-        """Scanning in two chunks through the carry equals one scan —
-        the property that makes chunked replay exact."""
-        cut = data.draw(st.integers(1, len(mins) - 1))
-        arr = np.array(mins, dtype=np.int64)
-        whole, _ = vector.retire_scan(arr, width)
-        head, carry = vector.retire_scan(arr[:cut], width)
-        tail, _ = vector.retire_scan(arr[cut:], width, carry)
-        assert head.tolist() + tail.tolist() == whole.tolist()
-
     @given(
         lines=st.lists(st.integers(0, 20), min_size=0, max_size=80),
         num_sets=st.sampled_from([1, 2, 4]),
@@ -333,36 +300,10 @@ class TestPrimitiveProperties:
             CacheConfig(num_sets * assoc * line_bytes, assoc, line_bytes)
         )
         want = [cache.access_line(line) for line in lines]
-        got = vector.lru_hits(lines, num_sets, assoc)
+        got = vector.stack_distances(lines, num_sets, assoc) < assoc
         assert got.tolist() == want
         assert cache.accesses == len(lines)
         assert cache.misses == len(lines) - int(got.sum())
-
-    @given(data=st.data())
-    @settings(max_examples=60)
-    def test_wavefront_levels_match_recursive_reference(self, data):
-        """level[i] = 0 for source ops, else 1 + max(level[producers]);
-        producers are always earlier ops (the packed topological
-        order)."""
-        n = data.draw(st.integers(0, 30))
-        dep_start = [0]
-        deps = []
-        for i in range(n):
-            producers = (
-                data.draw(
-                    st.lists(st.integers(0, i - 1), max_size=3)
-                )
-                if i
-                else []
-            )
-            deps.extend(producers)
-            dep_start.append(len(deps))
-        want = []
-        for i in range(n):
-            prods = deps[dep_start[i]:dep_start[i + 1]]
-            want.append(1 + max(want[d] for d in prods) if prods else 0)
-        got = vector.wavefront_levels(dep_start, deps, n)
-        assert list(got) == want
 
     @given(
         spans=st.lists(
@@ -430,7 +371,6 @@ class TestStackDistances:
         want = [cache.access_line(line) for line in lines]
         dist = vector.stack_distances(lines, num_sets, assoc)
         assert (dist < assoc).tolist() == want
-        assert vector.lru_hits(lines, num_sets, assoc).tolist() == want
         assert vector.lru_hits_listwise(
             lines, num_sets, assoc
         ).tolist() == want
@@ -511,6 +451,75 @@ class TestSweepBatchedReplay:
         assert prepare_sweep(captured, configs, telemetry=tel) > 0
         assert tel.metrics.get("sweep.configs_batched") == 4
 
+    def test_identical_miss_vectors_share_one_spine_run(self, monkeypatch):
+        """The spine memo is keyed by content: two icache geometries
+        whose per-unit miss vectors coincide run the spine once, a
+        geometry with a different vector (perfect icache) runs its own,
+        and every result stays asdict-equal to the scalar replayer."""
+        config = MachineConfig()
+        captured = capture_run(
+            _pair("compress").conventional, "conventional", config
+        )
+        configs = [
+            config.with_icache_kb(16),
+            config.with_icache_kb(64),
+            config.with_icache_kb(None),
+        ]
+        keys = [
+            vector._icache_prep(
+                captured.trace, Cache(c.icache), 64, False
+            )["miss_key"]
+            for c in configs[:2]
+        ]
+        assert keys[0] == keys[1]  # the premise: same per-unit misses
+        calls = []
+        spine = vector._conv_window_pass
+
+        def counted(*args):
+            calls.append(args)
+            return spine(*args)
+
+        monkeypatch.setattr(vector, "_conv_window_pass", counted)
+        got = replay_sweep(captured, configs, kernel="numpy")
+        assert len(calls) == 2
+        want = [
+            dataclasses.asdict(replay_captured(captured, c, kernel="python"))
+            for c in configs
+        ]
+        assert [dataclasses.asdict(r) for r in got] == want
+
+    def test_equal_miss_vectors_of_different_line_sizes_stay_apart(self):
+        """Per-unit miss counts alone do not fix the fetch schedule: a
+        32-byte-line and a 64-byte-line icache that miss identically
+        per unit still fetch different line counts, so they must not
+        share a fetch prep or a spine run."""
+        captured = _hand_captured(
+            "conventional",
+            [
+                FetchUnit(addr, size, [DynOp(1, (), uid=uid)])
+                for uid, (addr, size) in enumerate(
+                    [(176, 48), (144, 96), (192, 48)]
+                )
+            ],
+        )
+        configs = [
+            dataclasses.replace(MachineConfig(), icache=CacheConfig(*geom))
+            for geom in ((128, 1, 32), (64, 1, 64))
+        ]
+        keys = [
+            vector._icache_prep(
+                captured.trace, Cache(c.icache), c.icache.line_bytes, False
+            )["miss_key"]
+            for c in configs
+        ]
+        assert keys[0] == keys[1]  # the premise: same per-unit misses
+        got = replay_sweep(captured, configs, kernel="numpy")
+        want = [
+            dataclasses.asdict(replay_captured(captured, c, kernel="python"))
+            for c in configs
+        ]
+        assert [dataclasses.asdict(r) for r in got] == want
+
     def test_sweep_insight_length_mismatch_is_rejected(self):
         config = MachineConfig()
         captured = capture_run(
@@ -521,8 +530,117 @@ class TestSweepBatchedReplay:
 
 
 # ---------------------------------------------------------------------------
+# Named fallbacks: every stream shape the kernel declines
+# ---------------------------------------------------------------------------
+
+
+def _hand_captured(isa, units):
+    """A real capture of *isa* with its trace swapped for *units*."""
+    captured = capture_run(
+        getattr(_pair("compress"), isa), isa, MachineConfig()
+    )
+    return dataclasses.replace(captured, trace=PackedTrace.capture(units))
+
+
+def _ops(first_uid, lats):
+    """A dependence chain of ops with consecutive uids."""
+    return [
+        DynOp(lat, (uid - 1,) if uid > first_uid else (), uid=uid)
+        for uid, lat in enumerate(lats, first_uid)
+    ]
+
+
+@needs_numpy
+class TestKernelFallbacks:
+    """Each decline is counted under its reason label, and the scalar
+    replayer that takes over gives the kernel="python" result."""
+
+    def _replay_both(self, captured):
+        """(python result, auto result, fallback metric series)."""
+        want = dataclasses.asdict(
+            replay_captured(captured, MachineConfig(), kernel="python")
+        )
+        tel = Telemetry()
+        fallbacks = vector.FALLBACKS
+        got = replay_captured(captured, MachineConfig(), telemetry=tel)
+        assert vector.FALLBACKS == fallbacks + 1
+        series = {
+            s.labels["reason"]: s.value
+            for s in tel.metrics.series("sim.kernel_fallbacks")
+        }
+        return want, dataclasses.asdict(got), series
+
+    def test_no_numpy(self, monkeypatch):
+        captured = _hand_captured(
+            "conventional", [FetchUnit(0, 8, _ops(0, [1, 2]))]
+        )
+        monkeypatch.setattr(vector, "_np", None)
+        want, got, series = self._replay_both(captured)
+        assert got == want
+        assert series == {"no_numpy": 1}
+
+    def test_bad_resolve(self):
+        """A mispredicted unit whose resolve index is past its ops: the
+        scalar replayer rejects the stream, so both kernels raise the
+        same error after the kernel declines."""
+        captured = _hand_captured(
+            "conventional",
+            [FetchUnit(0, 8, _ops(0, [1, 1]), mispredict=True,
+                       resolve_index=5)],
+        )
+        with pytest.raises(SimulationError) as python_err:
+            replay_captured(captured, MachineConfig(), kernel="python")
+        tel = Telemetry()
+        with pytest.raises(SimulationError) as auto_err:
+            replay_captured(captured, MachineConfig(), telemetry=tel)
+        assert str(auto_err.value) == str(python_err.value)
+        assert tel.metrics.get(
+            "sim.kernel_fallbacks", reason="bad_resolve"
+        ) == 1
+
+    def test_mixed_atomic(self):
+        captured = _hand_captured(
+            "block",
+            [
+                FetchUnit(0, 16, _ops(0, [1, 2]), atomic=True),
+                FetchUnit(64, 8, _ops(2, [3])),
+            ],
+        )
+        want, got, series = self._replay_both(captured)
+        assert got == want
+        assert series == {"mixed_atomic": 1}
+
+    def test_conventional_shape(self):
+        """An empty fetch unit in a conventional stream."""
+        captured = _hand_captured(
+            "conventional",
+            [FetchUnit(0, 8, _ops(0, [1, 2])), FetchUnit(64, 0, [])],
+        )
+        want, got, series = self._replay_both(captured)
+        assert got == want
+        assert series == {"conventional_shape": 1}
+
+
+# ---------------------------------------------------------------------------
 # Promotion into repro.check: cosim oracle + fuzz shrinking
 # ---------------------------------------------------------------------------
+
+
+def _inject_late_retire(monkeypatch):
+    """Patch an off-by-one into both timing spines: every unit retires
+    one cycle late, so the run ends one cycle late too."""
+    for name in ("_conv_window_pass", "_block_pass"):
+        spine = getattr(vector, name)
+
+        def late(*args, spine=spine):
+            (completes, unit_retire, wstall, rstall, next_fetch, max_cycle,
+             gap, wd) = spine(*args)
+            if unit_retire is not None:
+                unit_retire = [r + 1 for r in unit_retire]
+            return (completes, unit_retire, wstall, rstall, next_fetch,
+                    max_cycle + 1, gap, wd)
+
+        monkeypatch.setattr(vector, name, late)
 
 
 @needs_numpy
@@ -548,19 +666,12 @@ class TestCosimPromotion:
     def test_injected_off_by_one_wavefront_bug_is_caught_and_shrinks(
         self, monkeypatch, tmp_path
     ):
-        """The satellite acceptance check: shift the retirement
-        wavefront scan by one cycle and the fuzzer must (a) flag it as
-        cosim.kernel_divergence and (b) delta-debug the reproducer to
-        <= 15 lines."""
+        """Retire every unit one cycle late in both timing spines and
+        the fuzzer must (a) flag it as cosim.kernel_divergence and (b)
+        delta-debug the reproducer to <= 15 lines."""
         from repro.check import CosimChecker, Fuzzer
 
-        orig = vector.retire_scan
-
-        def off_by_one(mins, width, carry=None):
-            out, carry = orig(mins, width, carry)
-            return out + 1, carry
-
-        monkeypatch.setattr(vector, "retire_scan", off_by_one)
+        _inject_late_retire(monkeypatch)
         fuzzer = Fuzzer(
             checker=CosimChecker(),
             corpus_dir=str(tmp_path),
@@ -579,13 +690,7 @@ class TestCosimPromotion:
         here both fire, which pins the invariant names."""
         from repro.check import CosimChecker
 
-        orig = vector.retire_scan
-
-        def off_by_one(mins, width, carry=None):
-            out, carry = orig(mins, width, carry)
-            return out + 1, carry
-
-        monkeypatch.setattr(vector, "retire_scan", off_by_one)
+        _inject_late_retire(monkeypatch)
         report = CosimChecker().check_source(self.CLEAN, "vk-buggy")
         invariants = {v.invariant for v in report.violations}
         assert "cosim.kernel_divergence" in invariants
