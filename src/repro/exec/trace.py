@@ -3,8 +3,9 @@
 The functional executors record the dynamic stream as
 :class:`~repro.sim.packed.PackedTrace` columns;
 :meth:`~repro.sim.packed.PackedTrace.units` turns it back into
-:class:`FetchUnit`\\ s for the streaming timing engine, the trace
-cache and analysis tools. Each unit holds
+:class:`FetchUnit`\\ s for the trace cache, analysis tools and tests
+(:meth:`~repro.sim.packed.PackedTrace.capture` packs such a stream
+again for timing). Each unit holds
 :class:`DynOp`\\ s. A ``DynOp`` carries everything timing needs: latency
 class, dataflow predecessors (dynamic op ids of the producers of its
 source registers, plus the producing store for loads), and the memory

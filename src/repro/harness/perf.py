@@ -7,9 +7,10 @@ Times the three phases of the packed-trace pipeline per benchmark × ISA
   :class:`~repro.sim.packed.PackedTrace`;
 * **replay**   — :meth:`~repro.sim.engine.TimingEngine.run_packed` over
   the flat arrays (the scalar Python replayer);
-* **streaming** — the original single-pass pipeline
-  (:func:`~repro.sim.run.simulate_streaming`), the baseline replay is
-  measured against;
+* **streaming** — a one-shot run
+  (:func:`~repro.sim.run.simulate_streaming`): a fresh capture plus one
+  scalar ``run_packed`` replay, with no vector kernel and no memo; the
+  baseline the other phases are measured and checked against;
 * **vector**   — the vectorized column kernel
   (:mod:`repro.sim.vector`), timed *warm*: one untimed replay first
   builds the kernel's per-trace prep columns and runs its timing spine,
@@ -29,7 +30,7 @@ Times the three phases of the packed-trace pipeline per benchmark × ISA
   scalar fallback and the ratio hovers near 1.
 
 Every replay — scalar and vectorized — is asserted bit-identical to the
-streaming run (``dataclasses.asdict`` equality) so the artifact doubles
+one-shot run (``dataclasses.asdict`` equality) so the artifact doubles
 as an end-to-end correctness check — CI's perf-smoke job fails on
 ``stats_match: false`` or ``vector_match: false``. The document is schema-versioned
 (:data:`~repro.obs.schema.BENCH_SCHEMA_ID`) and validated by
@@ -196,7 +197,8 @@ def _totals(entries: list[dict]) -> dict:
         "replay_s": replay_s,
         "streaming_s": streaming_s,
         # warm: the trace already exists (every sweep point after the
-        # first); cold: capture amortized into the very first replay.
+        # first); cold: the one-shot run against capture + replay timed
+        # separately, which do the same work, so it stays near 1.
         "speedup_warm": streaming_s / replay_s if replay_s else 0.0,
         "speedup_cold": (
             streaming_s / (capture_s + replay_s)

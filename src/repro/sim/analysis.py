@@ -161,7 +161,8 @@ def analyze_bottlenecks(
             heapq.heappush(unit_window, retire_cycle)
 
         if unit.squashed:
-            redirect_at = resolve_complete + 1 + penalty
+            # No refill penalty after a fault (docs/timing-model.md rule 1).
+            redirect_at = resolve_complete + 1
             release = resolve_complete + 1
             if atomic_window:
                 heapq.heappush(window, release)

@@ -18,10 +18,9 @@ splits one simulation into two phases:
 historical signatures (capture + replay in one call, bit-identical
 results); callers sweeping machine configs — the experiment engine, the
 Fig. 6/7 icache sweeps — capture once and replay per config.
-:func:`simulate_streaming` replays the same capture through the object
-view (``trace.units()``) and the streaming
-:meth:`~repro.sim.engine.TimingEngine.run` — an independent timing path
-the packed replay is tested against.
+:func:`simulate_streaming` is a fresh capture plus a scalar
+``run_packed`` replay, with no vector kernel and no memo: the one-shot
+reference the kernel and the batched sweeps are compared against.
 """
 
 from __future__ import annotations
@@ -415,9 +414,9 @@ def replay_captured(
     insight=None,
     kernel: str = "auto",
 ) -> SimResult:
-    """Replay a captured run under *config*; bit-identical to the
-    streaming path for any config sharing the capture's
-    :func:`predictor_key`. Pass an
+    """Replay a captured run under *config*; bit-identical to a fresh
+    capture and replay (:func:`simulate_streaming`) for any config
+    sharing the capture's :func:`predictor_key`. Pass an
     :class:`~repro.insight.InsightCollector` as *insight* to accumulate
     cycle-accounting and fetch-rate analytics alongside.
 
@@ -505,7 +504,7 @@ def simulate_block_structured(
 
 
 # ---------------------------------------------------------------------------
-# Streaming reference path
+# Scalar reference path
 # ---------------------------------------------------------------------------
 
 
@@ -516,38 +515,13 @@ def simulate_streaming(
     telemetry: Telemetry | None = None,
     insight=None,
 ) -> SimResult:
-    """Capture, then time the stream's :class:`FetchUnit` object view
-    with the streaming :meth:`TimingEngine.run`.
-
-    Kept as the reference for the packed replay: tests and ``bsisa
-    perf`` assert :func:`replay_captured` produces bit-identical results
-    (``dataclasses.asdict`` equality) to this function. (The independent
-    *functional* reference is the IR interpreter, through cosim.)
-    """
-    config = config or MachineConfig()
-    tel = telemetry if telemetry is not None else get_telemetry()
-    if isa == "conventional":
-        executor, predictor = _conventional_executor(prog, config)
-        build = _conventional_result
-        atomic = False
-    elif isa == "block":
-        executor, predictor = _block_executor(prog, config)
-        build = _block_result
-        atomic = True
-    else:
-        raise SimulationError(f"cannot simulate unknown isa {isa!r}")
-    engine = TimingEngine(
-        config, atomic_window=atomic, telemetry=tel, insight=insight
+    """A fresh capture replayed once by the scalar ``run_packed``: no
+    vector kernel, no memo. Tests and ``bsisa perf`` hold every other
+    replay path to ``dataclasses.asdict`` equality with it."""
+    return replay_captured(
+        capture_run(prog, isa, config, telemetry),
+        config,
+        telemetry,
+        insight=insight,
+        kernel="python",
     )
-    with tel.span("sim.simulate", benchmark=prog.name, isa=isa):
-        timing = engine.run(executor.capture().units())
-    result = build(
-        prog.name,
-        timing,
-        executor.stats,
-        predictor.accuracy if predictor is not None else 1.0,
-        prog.code_bytes,
-    )
-    if tel.enabled:
-        _publish(tel, result, engine, predictor)
-    return result

@@ -7,8 +7,7 @@ on a :class:`~repro.sim.engine.TimingEngine` and produces
 same :class:`~repro.insight.InsightCollector` feed. There is no
 float-batching tolerance to document: every quantity the kernel computes
 is integer arithmetic, so equality with the scalar replayer is exact,
-not approximate (enforced by the three-way differential tests in
-``tests/test_vector_kernel.py``).
+not approximate (enforced by differential tests against ``run_packed``).
 
 The replay splits into two halves:
 
@@ -40,7 +39,8 @@ atomic/non-atomic block streams, conventional streams with atomic,
 squashed, empty or over-window units) make :func:`replay_packed_vector`
 return ``None`` and the caller falls back to the scalar replayer —
 never silently wrong. Each decline counts in :data:`FALLBACKS` and, with
-telemetry enabled, in ``sim.kernel_fallbacks{reason=...}``.
+telemetry enabled, in ``sim.kernel_fallbacks{reason=...}``; each replay
+the kernel serves counts in :data:`KERNEL_RUNS` and ``sim.kernel_runs``.
 
 ``numpy`` is optional everywhere: when absent ``HAVE_NUMPY`` is False,
 :func:`replay_packed_vector` returns ``None``, and
@@ -565,6 +565,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
         if ins is not None:
             ins.finish(1, 0)
         KERNEL_RUNS += 1
+        tel.count("sim.kernel_runs")
         return stats
 
     base = _base_prep(trace)
@@ -656,6 +657,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
             gap_l, events, unit0,
         )
     KERNEL_RUNS += 1
+    tel.count("sim.kernel_runs")
     return stats
 
 

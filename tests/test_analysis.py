@@ -1,27 +1,35 @@
 """Bottleneck-analysis utility tests."""
 
 from repro.exec.block import BlockExecutor
-from repro.exec.conventional import ConventionalExecutor
 from repro.sim.analysis import analyze_bottlenecks
 from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingEngine
-from repro.sim.predictors import BlockPredictor, GsharePredictor
+from repro.sim.predictors import BlockPredictor
+from repro.sim.run import capture_run
 
 
-def test_analysis_matches_engine_cycles_conventional(feature_pair):
-    config = MachineConfig()
-    ex1 = ConventionalExecutor(
-        feature_pair.conventional, predictor=GsharePredictor(), trace=True
-    )
-    engine_cycles = TimingEngine(config, atomic_window=False).run(
-        ex1.units()
-    ).cycles
-    ex2 = ConventionalExecutor(
-        feature_pair.conventional, predictor=GsharePredictor(), trace=True
-    )
-    report = analyze_bottlenecks(ex2.units(), config, atomic_window=False)
-    assert abs(report.cycles - engine_cycles) <= engine_cycles * 0.02
-    assert report.ops == ex2.stats.dyn_ops
+def test_analysis_matches_engine_exactly(feature_pair):
+    """The attribution replay keeps run_packed's timestamps: equal
+    cycles and stall totals on both ISAs, real and perfect prediction."""
+    for isa in ("conventional", "block"):
+        prog = getattr(feature_pair, isa)
+        for config in (MachineConfig(), MachineConfig(perfect_bp=True)):
+            atomic = isa == "block"
+            trace = capture_run(prog, isa, config).trace
+            stats = TimingEngine(config, atomic_window=atomic).run_packed(
+                trace
+            )
+            report = analyze_bottlenecks(
+                trace.units(), config, atomic_window=atomic
+            )
+            got = (report.cycles, report.window_stall, report.redirect_stall)
+            want = (
+                stats.cycles,
+                stats.window_stall_cycles,
+                stats.redirect_stall_cycles,
+            )
+            assert got == want, (isa, config.perfect_bp)
+            assert report.ops == stats.fetched_ops
 
 
 def test_analysis_limiter_distribution(feature_pair):

@@ -2,14 +2,20 @@
 
 Building synthetic streams lets every timing rule be checked in
 isolation: fetch bandwidth, dataflow, FU contention, windows, redirects,
-caches, and atomic retirement.
+caches, and atomic retirement. Each stream is packed and timed by the
+scalar ``run_packed``; with numpy present the vectorized kernel replays
+it too and must agree exactly.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.exec.trace import DynOp, FetchUnit
+from repro.sim import vector
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.engine import TimingEngine
+from repro.sim.packed import PackedTrace
 
 
 def op(uid, lat=1, deps=(), mem_addr=-1, is_load=False, is_store=False):
@@ -40,8 +46,18 @@ def run(units, config=None, atomic=False):
     if atomic:
         for u in units:
             u.atomic = True
-    engine = TimingEngine(config, atomic_window=atomic)
-    return engine.run(units)
+    trace = PackedTrace.capture(units)
+    stats = TimingEngine(config, atomic_window=atomic).run_packed(trace)
+    if vector.HAVE_NUMPY:
+        # A fresh copy, so the kernel shares no cached prep with the
+        # scalar replay.
+        vectored = vector.replay_packed_vector(
+            TimingEngine(config, atomic_window=atomic),
+            PackedTrace.from_bytes(trace.to_bytes()),
+        )
+        assert vectored is not None, "vector kernel declined the stream"
+        assert dataclasses.asdict(vectored) == dataclasses.asdict(stats)
+    return stats
 
 
 def test_fetch_bound_independent_stream():

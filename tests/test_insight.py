@@ -4,9 +4,10 @@ The contract under test, in order of importance:
 
 1. **Cycle accounting tiles exactly** — ``sum(buckets) == cycles`` for
    every EXPERIMENT_RUNS spec, both ISAs, both sim paths.
-2. **Path-independence** — the streaming pipeline and the packed-trace
-   replay produce *bit-identical* ``InsightReport``\\ s (PR 4's identity
-   extended to the analytics layer).
+2. **Path-independence** — a fresh capture replayed by the scalar
+   ``run_packed`` (``simulate_streaming``) and a shared-capture replay on
+   the default kernel produce *bit-identical* ``InsightReport``\\ s (the
+   packed-trace identity extended to the analytics layer).
 3. **Worker-merge determinism** — ``--jobs 2`` collects the same
    reports and the same merged ``insight.*`` metric series as a serial
    run.

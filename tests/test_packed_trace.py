@@ -1,7 +1,7 @@
 """Packed-trace capture/replay: lossless round-trip, deterministic
-serialization, bit-identity of ``run_packed`` against the streaming
-path across the full experiment matrix, and trace reuse through the
-experiment engine."""
+serialization, bit-identity of shared-capture replay against a fresh
+capture and scalar replay across the full experiment matrix, and trace
+reuse through the experiment engine."""
 
 from __future__ import annotations
 
@@ -20,10 +20,14 @@ from repro.exec.conventional import ConventionalExecutor
 from repro.exec.trace import DynOp, FetchUnit
 from repro.harness import EXPERIMENT_RUNS, SuiteRunner
 from repro.obs import Telemetry
+from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
 from repro.sim.predictors import BlockPredictor, GsharePredictor
 from repro.sim.run import (
+    PredictorSnapshot,
+    _block_executor,
+    _conventional_executor,
     capture_run,
     predictor_key,
     replay_captured,
@@ -182,6 +186,24 @@ def _header_size() -> int:
 # ---------------------------------------------------------------------------
 
 
+def published_series(tel: Telemetry) -> tuple[list, dict]:
+    """A session's sim./cache./bp. series, less the vector kernel's
+    bookkeeping counters (``sim.kernel_*``), and those counters' totals
+    by name."""
+    snapshot = tel.metrics.snapshot()
+    kernel = {}
+    for e in snapshot:
+        if e["name"].startswith("sim.kernel_"):
+            kernel[e["name"]] = kernel.get(e["name"], 0) + e["value"]
+    series = [
+        e
+        for e in snapshot
+        if e["name"].startswith(("sim.", "cache.", "bp."))
+        and e["name"] not in kernel
+    ]
+    return series, kernel
+
+
 def _matrix_specs():
     """Every unique spec any experiment declares (deduplicated)."""
     plan = build_plan(
@@ -196,10 +218,12 @@ def _matrix_specs():
 
 class TestBitIdentity:
     def test_replay_matches_streaming_for_every_experiment_spec(self):
-        """The acceptance criterion: run_packed is bit-identical
-        (dataclasses.asdict over the whole SimResult, TimingStats
-        included) to the streaming path for every EXPERIMENT_RUNS spec,
-        with one capture shared per (benchmark, isa, predictor-config)."""
+        """The acceptance criterion: replaying one capture shared per
+        (benchmark, isa, predictor-config) on the default kernel is
+        bit-identical (dataclasses.asdict over the whole SimResult,
+        TimingStats included) to a fresh capture replayed by the scalar
+        run_packed (simulate_streaming), for every EXPERIMENT_RUNS
+        spec."""
         captures = {}
         for spec in _matrix_specs():
             prog = getattr(_pair(spec.benchmark), spec.isa)
@@ -213,9 +237,11 @@ class TestBitIdentity:
             ), spec
 
     def test_replay_publishes_same_metrics_as_streaming(self):
-        """Replay must publish the same sim./cache./bp. series the
-        streaming path did (snapshot counters stand in for the live
-        predictor)."""
+        """A shared-capture replay on the default kernel publishes the
+        same sim./cache./bp. series as a fresh capture replayed by the
+        scalar run_packed. Both publish the predictor snapshot; that the
+        snapshot mirrors the live predictor is checked by
+        test_predictor_snapshot_publishes_live_predictor_metrics."""
         prog = _pair("compress").conventional
         config = MachineConfig()
         stream_tel = Telemetry()
@@ -224,14 +250,39 @@ class TestBitIdentity:
         cap = capture_run(prog, "conventional", config)
         replay_captured(cap, config, telemetry=replay_tel)
 
-        def entries(tel):
-            return [
-                e
-                for e in tel.metrics.snapshot()
-                if e["name"].startswith(("sim.", "cache.", "bp."))
-            ]
+        replayed, replay_kernel = published_series(replay_tel)
+        streamed, stream_kernel = published_series(stream_tel)
+        assert replayed == streamed
+        # Only the default kernel's own bookkeeping differs: it serves
+        # the replay, or declines it when numpy is absent.
+        assert replay_kernel == (
+            {"sim.kernel_runs": 1}
+            if vector.HAVE_NUMPY
+            else {"sim.kernel_fallbacks": 1}
+        )
+        assert stream_kernel == {}
 
-        assert entries(replay_tel) == entries(stream_tel)
+    @pytest.mark.parametrize("isa, series", [("conventional", 3), ("block", 4)])
+    def test_predictor_snapshot_publishes_live_predictor_metrics(
+        self, isa, series
+    ):
+        """Replays publish a PredictorSnapshot frozen at capture time in
+        place of the live predictor: its series must equal the live
+        predictor's own publish after the same capture."""
+        make = (
+            _conventional_executor if isa == "conventional" else _block_executor
+        )
+        executor, predictor = make(
+            getattr(_pair("compress"), isa), MachineConfig()
+        )
+        executor.capture()
+        live, frozen = Telemetry(), Telemetry()
+        predictor.publish(live.metrics, benchmark="compress")
+        PredictorSnapshot.of(predictor).publish(
+            frozen.metrics, benchmark="compress"
+        )
+        assert len(live.metrics.snapshot()) == series
+        assert frozen.metrics.snapshot() == live.metrics.snapshot()
 
 
 # ---------------------------------------------------------------------------

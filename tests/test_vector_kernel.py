@@ -1,13 +1,14 @@
-"""Vectorized replay kernel (repro.sim.vector): three-way differential
-bit-identity, property tests for the kernel primitives, numpy-absent
-and unsupported-shape fallbacks, and the cosim/fuzz promotion (an
-injected off-by-one retirement bug must be caught and shrink small).
+"""Vectorized replay kernel (repro.sim.vector): differential
+bit-identity against the scalar replayer, property tests for the kernel
+primitives, numpy-absent and unsupported-shape fallbacks, and the
+cosim/fuzz promotion (an injected off-by-one retirement bug must be
+caught and shrink small).
 
 The kernel's contract is *exact* equality — every SimResult field,
 every InsightReport counter, every published metric series — against
-both the scalar replayer and the streaming engine. There is no float
-tolerance anywhere: the timing model and the kernel are all-integer
-(docs/performance.md).
+the scalar ``run_packed``, both on a shared capture and on a fresh
+capture (``simulate_streaming``). There is no float tolerance anywhere:
+the timing model and the kernel are all-integer (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from repro.sim.run import (
 )
 from repro.workloads import SUITE
 
+from tests.test_packed_trace import published_series
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -71,16 +74,19 @@ needs_numpy = pytest.mark.skipif(
 
 
 # ---------------------------------------------------------------------------
-# Three-way differential: streaming vs run_packed vs vector kernel
+# Differential: fresh capture + run_packed vs shared-capture run_packed
+# vs vector kernel
 # ---------------------------------------------------------------------------
 
 
 @needs_numpy
 class TestThreeWayDifferential:
     def test_every_experiment_spec_pins_all_three_paths(self):
-        """For every EXPERIMENT_RUNS spec: streaming, scalar replay and
-        vectorized replay produce asdict-equal SimResults, and the
-        InsightReport is identical on all three paths."""
+        """For every EXPERIMENT_RUNS spec: a fresh capture replayed by
+        run_packed (simulate_streaming), scalar replay of the shared
+        capture and vectorized replay produce asdict-equal SimResults,
+        and the InsightReport is identical on all three. The two scalar
+        legs run the same loop; they differ in capture sharing."""
         captures = {}
         for spec in _matrix_specs():
             prog = getattr(_pair(spec.benchmark), spec.isa)
@@ -128,7 +134,8 @@ class TestThreeWayDifferential:
                 assert dataclasses.asdict(got) == want, isa
 
     def test_vector_replay_publishes_identical_metrics(self):
-        """sim./cache./bp. series must not depend on the kernel."""
+        """sim./cache./bp. series must not depend on the kernel; only
+        the kernel's own bookkeeping counters (sim.kernel_*) differ."""
         config = MachineConfig()
         captured = capture_run(
             _pair("compress").conventional, "conventional", config
@@ -137,13 +144,13 @@ class TestThreeWayDifferential:
         def series(kernel):
             tel = Telemetry()
             replay_captured(captured, config, telemetry=tel, kernel=kernel)
-            return [
-                e
-                for e in tel.metrics.snapshot()
-                if e["name"].startswith(("sim.", "cache.", "bp."))
-            ]
+            return published_series(tel)
 
-        assert series("numpy") == series("python")
+        numpy_series, numpy_kernel = series("numpy")
+        python_series, python_kernel = series("python")
+        assert numpy_series == python_series
+        assert numpy_kernel == {"sim.kernel_runs": 1}
+        assert python_kernel == {}
 
     def test_kernel_actually_ran(self):
         """The differential above must exercise the kernel, not the
@@ -403,10 +410,11 @@ class TestStackDistances:
 @needs_numpy
 class TestSweepBatchedReplay:
     def test_every_sweep_group_matches_per_config_and_streaming(self):
-        """Three-way over every EXPERIMENT_RUNS trace group (the fig6/
-        fig7 icache sweeps included): batched replay_sweep vs cold
-        one-at-a-time replay vs streaming — asdict-equal SimResults and
-        identical InsightReports, no tolerance."""
+        """Over every EXPERIMENT_RUNS trace group (the fig6/fig7 icache
+        sweeps included): batched replay_sweep and cold one-at-a-time
+        vector replay vs a fresh capture replayed by run_packed
+        (simulate_streaming) — asdict-equal SimResults and identical
+        InsightReports, no tolerance."""
         groups: dict = {}
         for spec in _matrix_specs():
             memo = (spec.benchmark, spec.isa, predictor_key(spec.config))
@@ -450,6 +458,33 @@ class TestSweepBatchedReplay:
         tel = Telemetry()
         assert prepare_sweep(captured, configs, telemetry=tel) > 0
         assert tel.metrics.get("sweep.configs_batched") == 4
+
+    def test_sweep_counts_each_replay_as_kernel_run_or_fallback(self):
+        """A telemetry-enabled sweep counts every replay exactly once:
+        sim.kernel_runs when the kernel serves it (suite traces, and the
+        empty-trace shortcut), sim.kernel_fallbacks when it declines."""
+        config = MachineConfig()
+        configs = [config.with_icache_kb(None)] + [
+            config.with_icache_kb(kb) for kb in (16, 32, 64)
+        ]
+        cases = [
+            (capture_run(getattr(_pair("compress"), isa), isa, config),
+             len(configs))
+            for isa in ("conventional", "block")
+        ]
+        cases.append((_hand_captured("conventional", []), len(configs)))
+        mixed = [
+            FetchUnit(0, 16, _ops(0, [1, 2]), atomic=True),
+            FetchUnit(64, 8, _ops(2, [3])),
+        ]
+        cases.append((_hand_captured("block", mixed), 0))
+        for captured, served in cases:
+            tel = Telemetry()
+            replay_sweep(captured, configs, telemetry=tel)
+            runs = tel.metrics.total("sim.kernel_runs")
+            fallbacks = tel.metrics.total("sim.kernel_fallbacks")
+            assert runs + fallbacks == len(configs), captured.name
+            assert runs == served, captured.name
 
     def test_identical_miss_vectors_share_one_spine_run(self, monkeypatch):
         """The spine memo is keyed by content: two icache geometries
