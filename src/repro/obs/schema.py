@@ -1,29 +1,22 @@
-"""Schema validation for the unified telemetry artifact.
+"""Validation of the five schema-versioned artifacts.
 
-The document produced by :meth:`Telemetry.to_document` /
-``--metrics-json`` is validated structurally here (no third-party JSON
-Schema dependency — the environment is offline). CI's smoke job runs::
-
-    python -m repro.obs.schema out.json
-
-which exits non-zero with a readable error list if the artifact drifts
-from the documented shape (docs/observability.md). The same entry point
-recognises the ``bsisa perf`` benchmark artifact (``BENCH_sim.json``,
-schema :data:`BENCH_SCHEMA_ID`) by its ``schema`` field and validates
-it with :func:`bench_document_errors` instead.
+One field table per artifact kind, applied by one walker (:func:`_check`)
+that names the JSON path of each bad value; one invariant function per
+kind for the cross-field rules; :data:`SCHEMAS` maps each schema id to
+its table, invariants and summary. ``python -m repro.obs.schema FILE``
+exits 0 (valid), 1 (one line per violation) or 2 (usage, unreadable).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from reprlib import repr as _repr
 
 from repro.errors import TelemetryError
 from repro.obs.events import ALL_EVENT_KINDS
 from repro.obs.metrics import COUNTER, GAUGE, HISTOGRAM
 from repro.obs.telemetry import SCHEMA_ID
-
-_NUMBER = (int, float)
 
 #: Schema id of the ``bsisa perf`` artifact (docs/performance.md).
 BENCH_SCHEMA_ID = "repro.bench/v1"
@@ -41,625 +34,378 @@ SCENARIO_SCHEMA_ID = "repro.scenario/v1"
 #: The cycle-accounting buckets of one :class:`repro.insight.InsightReport`,
 #: in display order. Every simulated cycle lands in exactly one bucket:
 #: ``sum(buckets) == cycles`` is part of the schema contract.
-INSIGHT_CYCLE_BUCKETS = (
-    "busy_fetch",
-    "icache_stall",
-    "redirect_stall",
-    "window_stall",
-    "squash_recovery",
-    "drain",
+INSIGHT_CYCLE_BUCKETS = ("busy_fetch", "icache_stall", "redirect_stall",
+                         "window_stall", "squash_recovery", "drain")
+
+
+def _int(v) -> bool:
+    # bool is an int subclass, but a flag is never a count.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: Scalar field kinds: name -> (what a valid value is, predicate).
+_KINDS = {
+    "any": ("present", lambda v: True),
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "int>=0": ("a non-negative int", lambda v: _int(v) and v >= 0),
+    "int>0": ("a positive int", lambda v: _int(v) and v > 0),
+    "number": ("a number", _num),
+    "number>=0": ("a non-negative number", lambda v: _num(v) and v >= 0),
+    "number>0": ("a positive number", lambda v: _num(v) and v > 0),
+    "number|null": ("a number or null", lambda v: v is None or _num(v)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "object|null": ("an object or null",
+                    lambda v: v is None or isinstance(v, dict)),
+    "labels": ("a str -> str object", lambda v: isinstance(v, dict) and all(
+        isinstance(x, str) for kv in v.items() for x in kv)),
+    "hist": ("an object of non-negative int bins -> non-negative ints",
+             lambda v: isinstance(v, dict) and all(
+                 isinstance(k, str) and k.isdecimal() and _int(n) and n >= 0
+                 for k, n in v.items())),
+    "synthetic": ("a 'synthetic/…' family name",
+                  lambda v: isinstance(v, str) and v.startswith("synthetic/")),
+    "size,count": ("a [size, count] pair of positive ints",
+                   lambda v: isinstance(v, list) and len(v) == 2
+                   and all(_int(x) and x > 0 for x in v)),
+}
+
+
+def _check(value, spec, path: str, errors: list[str]) -> None:
+    """Append one error per violation of *spec* found in *value*. A spec
+    is a :data:`_KINDS` name, an object table ``{field: spec}`` (``field?``
+    is optional), ``("enum", *allowed)`` or ``("list"|"list+", item)``."""
+    if isinstance(spec, str):
+        what, ok = _KINDS[spec]
+        if not ok(value):
+            errors.append(f"{path} must be {what}, got {_repr(value)}")
+    elif isinstance(spec, dict):
+        if not isinstance(value, dict):
+            errors.append(f"{path} must be an object, got {_repr(value)}")
+            return
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            where = f"{path}.{name}" if path else name
+            if name in value:
+                _check(value[name], sub, where, errors)
+            elif not key.endswith("?"):
+                errors.append(f"{where} is missing")
+    elif spec[0] == "enum":
+        if value not in spec[1:]:
+            errors.append(f"{path} must be one of {spec[1:]}, got "
+                          f"{_repr(value)}")
+    elif not isinstance(value, list) or (spec[0] == "list+" and not value):
+        empty = "non-empty " if spec[0] == "list+" else ""
+        errors.append(f"{path} must be a {empty}list, got {_repr(value)}")
+    else:
+        for i, item in enumerate(value):
+            _check(item, spec[1], f"{path}[{i}]", errors)
+
+
+def _ok(value, spec) -> bool:
+    """Whether *value* is well-formed under *spec* (an invariant's guard)."""
+    errors: list[str] = []
+    _check(value, spec, "", errors)
+    return not errors
+
+
+def _list(value) -> list:
+    return value if isinstance(value, list) else []
+
+
+def _unique(what: str, items: list, key: str, errors: list[str]) -> None:
+    values = [x[key] for x in items if _ok(x, {key: "str"})]
+    dupes = sorted({v for v in values if values.count(v) > 1})
+    if dupes:
+        errors.append(f"duplicate {what}: {dupes}")
+
+
+def _agree(summary, expected: dict, source: str, errors: list[str]) -> None:
+    errors += [f"summary.{k} is {summary[k]}, {source} say {v}"
+               for k, v in expected.items() if summary[k] != v]
+
+
+_METRIC_KIND = ("enum", COUNTER, GAUGE, HISTOGRAM)
+
+_TELEMETRY = {
+    "meta": "object",
+    "spans": ("list", {"name": "str", "start_s": "number",
+                       "duration_s": "number>=0", "depth": "int>=0",
+                       "labels?": "labels"}),
+    "metrics": ("list", {"name": "str", "kind": _METRIC_KIND,
+                         "labels?": "labels"}),
+    "trace": {
+        **dict.fromkeys(("capacity", "emitted", "dropped"), "int>=0"),
+        "events": ("list", {"seq": "int>0", "cycle": "int>=0",
+                            "event": ("enum", *ALL_EVENT_KINDS)}),
+    },
+}
+
+#: The fields each kind of metric series adds.
+_METRIC_FIELDS = {
+    **dict.fromkeys((COUNTER, GAUGE), {"value": "number"}),
+    HISTOGRAM: {
+        **dict.fromkeys(("count", "sum", "min", "max", "mean"), "number"),
+        "buckets": ("list+", {"le": "any", "count": "int>=0"}),
+    },
+}
+
+
+def _telemetry_rules(doc: dict, errors: list[str]) -> None:
+    for i, metric in enumerate(_list(doc.get("metrics"))):
+        if _ok(metric, {"kind": _METRIC_KIND}):
+            fields = _METRIC_FIELDS[metric["kind"]]
+            _check(metric, fields, f"metrics[{i}]", errors)
+    trace = doc.get("trace")
+    events = _list(trace.get("events")) if isinstance(trace, dict) else []
+    seqs = [e["seq"] for e in events if _ok(e, {"seq": "int>0"})]
+    if seqs != sorted(seqs):
+        errors.append("trace.events seq numbers must be increasing")
+
+
+_BENCH = {
+    "meta": "object",
+    "benchmarks": ("list+", {
+        "benchmark": "str", "isa": "str",
+        **dict.fromkeys(("compile_s", "capture_s", "replay_s", "streaming_s",
+                         "units", "ops", "trace_bytes"), "number>=0"),
+        "stats_match": "bool",
+        # The vector columns appear only when the vectorized replay kernel
+        # ran; older documents predate the sweep columns.
+        **dict.fromkeys(("vector_s?", "sweep_s?", "sweep_per_config_s?",
+                         "sweep_points?"), "number>=0"),
+        **dict.fromkeys(("vector_match?", "sweep_match?"), "bool"),
+        "kernel_fallbacks?": "int>=0",
+    }),
+    "totals": {
+        **dict.fromkeys(("capture_s", "replay_s", "streaming_s",
+                         "speedup_warm", "speedup_cold"), "number"),
+        "stats_match": "bool",
+        **dict.fromkeys(("vector_s?", "speedup_vector?", "replay_vs_vector?",
+                         "sweep_s?", "sweep_per_config_s?", "speedup_sweep?"),
+                        "number"),
+    },
+}
+
+_CLAIM_STATUS = ("enum", "pass", "fail", "skip")
+
+_FIDELITY_SUMMARY = {
+    **dict.fromkeys(("checked", "passed", "failed", "skipped",
+                     "shape_failed", "numeric_failed"), "int>=0"),
+    "ok": "bool",
+}
+
+_FIDELITY = {
+    "meta": {"scale": "number>0", "benchmarks": ("list", "str")},
+    "claims": ("list+", {
+        "id": "str", "statement": "str", "detail?": "text",
+        "figure": ("enum", "table1", "table2", "fig3", "fig4", "fig5",
+                   "fig6", "fig7"),
+        "kind": ("enum", "numeric", "shape"), "status": _CLAIM_STATUS,
+    }),
+    "summary": _FIDELITY_SUMMARY,
+}
+
+#: The fields a numeric claim adds (and ``measured`` unless skipped).
+_NUMERIC_CLAIM = {
+    "paper": "number",
+    "band": {"low?": "number|null", "high?": "number|null"},
+}
+
+
+def _fidelity_rules(doc: dict, errors: list[str]) -> None:
+    claims = _list(doc.get("claims"))
+    for i, claim in enumerate(claims):
+        if _ok(claim, {"kind": ("enum", "numeric")}):
+            _check(claim, _NUMERIC_CLAIM, f"claims[{i}]", errors)
+            if claim.get("status") != "skip":
+                _check(claim, {"measured": "number"}, f"claims[{i}]", errors)
+        elif _ok(claim, {"kind": ("enum", "shape")}) and (
+            claim.get("band") is not None
+        ):
+            errors.append(f"claims[{i}].band: shape claims carry no band")
+    _unique("claim ids", claims, "id", errors)
+    summary = doc.get("summary")
+    if _ok(claims, ("list+", {"status": _CLAIM_STATUS})) and _ok(
+        summary, _FIDELITY_SUMMARY
+    ):
+        statuses = [c["status"] for c in claims]
+        failed = statuses.count("fail")
+        _agree(summary, {"checked": len(statuses), "failed": failed,
+                         "passed": statuses.count("pass"),
+                         "skipped": statuses.count("skip"),
+                         "ok": failed == 0}, "claims", errors)
+
+
+#: Every field the cycle-accounting identities read.
+_INSIGHT_ACCOUNTS = {
+    **dict.fromkeys(("cycles", *INSIGHT_CYCLE_BUCKETS, "fetched_units",
+                     "squashed_units", "fetched_ops", "retired_ops",
+                     "squashed_ops"), "int>=0"),
+    **dict.fromkeys(("fetch_hist", "unit_fetched", "unit_retired"), "hist"),
+}
+
+_INSIGHT = {
+    "meta": "object",
+    "reports": ("list+", {
+        "benchmark": "str", "isa": ("enum", "conventional", "block"),
+        **_INSIGHT_ACCOUNTS, "config?": "object|null",
+    }),
+}
+
+
+def _mass(hist: dict, weighted: bool = False) -> int:
+    return sum(n * (int(k) if weighted else 1) for k, n in hist.items())
+
+
+def _insight_rules(doc: dict, errors: list[str]) -> None:
+    # The identities are part of the schema: CI validating the artifact
+    # re-asserts them on the shipped numbers.
+    for i, r in enumerate(_list(doc.get("reports"))):
+        if not _ok(r, _INSIGHT_ACCOUNTS):
+            continue
+        hist = r["fetch_hist"]
+        for lhs, got, rhs, want in (
+            ("cycle accounting broken — sum(buckets)",
+             sum(r[b] for b in INSIGHT_CYCLE_BUCKETS), "cycles", r["cycles"]),
+            ("retired_ops + squashed_ops",
+             r["retired_ops"] + r["squashed_ops"],
+             "fetched_ops", r["fetched_ops"]),
+            ("fetch_hist mass", _mass(hist), "busy_fetch", r["busy_fetch"]),
+            ("fetch_hist op mass", _mass(hist, True),
+             "fetched_ops", r["fetched_ops"]),
+            ("unit_fetched mass", _mass(r["unit_fetched"]),
+             "fetched_units", r["fetched_units"]),
+            ("unit_retired mass", _mass(r["unit_retired"]),
+             "fetched_units - squashed_units",
+             r["fetched_units"] - r["squashed_units"]),
+        ):
+            if got != want:
+                errors.append(f"reports[{i}]: {lhs}={got} != {rhs}={want}")
+
+
+_WINNER = ("enum", "block", "conventional", "tie")
+
+#: Every field the speedup-ratio check reads.
+_SPEEDUP = dict.fromkeys(
+    ("conventional_cycles", "block_cycles", "speedup"), "number>0"
 )
 
+_SCENARIO_COUNTS = dict.fromkeys(
+    ("cells", "points", "block_wins", "conventional_wins", "ties",
+     "crossover_points"), "int>=0",
+)
 
-def _check_labels(labels, where: str, errors: list[str]) -> None:
-    if not isinstance(labels, dict):
-        errors.append(f"{where}: labels must be an object")
-        return
-    for k, v in labels.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            errors.append(f"{where}: label {k!r}={v!r} must be str->str")
-
-
-def _check_span(span, i: int, errors: list[str]) -> None:
-    where = f"spans[{i}]"
-    if not isinstance(span, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    if not isinstance(span.get("name"), str) or not span.get("name"):
-        errors.append(f"{where}: missing/empty name")
-    for field in ("start_s", "duration_s"):
-        if not isinstance(span.get(field), _NUMBER):
-            errors.append(f"{where}: {field} must be a number")
-        elif field == "duration_s" and span[field] < 0:
-            errors.append(f"{where}: negative duration")
-    if not isinstance(span.get("depth"), int) or span.get("depth", 0) < 0:
-        errors.append(f"{where}: depth must be a non-negative int")
-    _check_labels(span.get("labels", {}), where, errors)
-
-
-def _check_metric(metric, i: int, errors: list[str]) -> None:
-    where = f"metrics[{i}]"
-    if not isinstance(metric, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    name = metric.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{where}: missing/empty name")
-    kind = metric.get("kind")
-    if kind not in (COUNTER, GAUGE, HISTOGRAM):
-        errors.append(f"{where}: bad kind {kind!r}")
-        return
-    _check_labels(metric.get("labels", {}), where, errors)
-    if kind == HISTOGRAM:
-        for field in ("count", "sum", "min", "max", "mean"):
-            if not isinstance(metric.get(field), _NUMBER):
-                errors.append(f"{where}: histogram {field} must be a number")
-        buckets = metric.get("buckets")
-        if not isinstance(buckets, list) or not buckets:
-            errors.append(f"{where}: histogram needs a bucket list")
-        else:
-            for j, bucket in enumerate(buckets):
-                if (
-                    not isinstance(bucket, dict)
-                    or "le" not in bucket
-                    or not isinstance(bucket.get("count"), int)
-                ):
-                    errors.append(f"{where}: bad bucket [{j}]")
-    elif not isinstance(metric.get("value"), _NUMBER):
-        errors.append(f"{where}: {kind} value must be a number")
+_SCENARIO = {
+    "meta": {"grid": dict.fromkeys(("bb_size", "bias", "hot_kb", "icache_kb"),
+                                   ("list+", "number"))},
+    "cells": ("list+", {
+        "family": "synthetic",
+        "target": dict.fromkeys(("bb_size", "bias", "hot_bytes", "seed"),
+                                "number"),
+        "realized": {
+            **dict.fromkeys(("mean_bb_ops", "mispredict_rate",
+                             "branch_events", "hot_bytes",
+                             "static_code_bytes", "block_code_bytes"),
+                            "number>=0"),
+            "bb_hist": ("list", "size,count"),
+        },
+        "attempts": "int>0",
+        "results": ("list+", {"icache_kb": "number>0", **_SPEEDUP,
+                              "winner": _WINNER}),
+    }),
+    "summary": {
+        **_SCENARIO_COUNTS,
+        "crossover_axes": ("list", ("enum", "bb_size", "bias", "hot_bytes",
+                                    "icache_kb")),
+    },
+}
 
 
-def _check_event(event, i: int, errors: list[str]) -> None:
-    where = f"trace.events[{i}]"
-    if not isinstance(event, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    if not isinstance(event.get("seq"), int) or event.get("seq", 0) <= 0:
-        errors.append(f"{where}: seq must be a positive int")
-    if event.get("event") not in ALL_EVENT_KINDS:
-        errors.append(f"{where}: unknown event kind {event.get('event')!r}")
-    if not isinstance(event.get("cycle"), int) or event.get("cycle", 0) < 0:
-        errors.append(f"{where}: cycle must be a non-negative int")
+def _scenario_rules(doc: dict, errors: list[str]) -> None:
+    cells = _list(doc.get("cells"))
+    for i, cell in enumerate(cells):
+        results = _list(cell.get("results")) if isinstance(cell, dict) else []
+        for j, p in enumerate(results):
+            if not _ok(p, _SPEEDUP):
+                continue
+            ratio = p["conventional_cycles"] / p["block_cycles"]
+            if abs(ratio - p["speedup"]) > 0.001:
+                errors.append(f"cells[{i}].results[{j}].speedup={p['speedup']}"
+                              f" disagrees with the cycle ratio {ratio:.4f}")
+    _unique("cell families", cells, "family", errors)
+    summary = doc.get("summary")
+    if _ok(cells, ("list+", {"results": ("list+", {"winner": _WINNER})})) and (
+        _ok(summary, _SCENARIO_COUNTS)
+    ):
+        winners = [p["winner"] for c in cells for p in c["results"]]
+        _agree(summary, {"cells": len(cells), "points": len(winners),
+                         "block_wins": winners.count("block"),
+                         "conventional_wins": winners.count("conventional"),
+                         "ties": winners.count("tie")}, "cells", errors)
+
+
+#: schema id -> (field table, invariants, summary of a valid document).
+SCHEMAS = {
+    SCHEMA_ID: (_TELEMETRY, _telemetry_rules, lambda d: (
+        f"{len(d['metrics'])} metric series, {len(d['spans'])} spans, "
+        f"{len(d['trace']['events'])} trace events")),
+    BENCH_SCHEMA_ID: (_BENCH, lambda doc, errors: None, lambda d: (
+        f"{len(d['benchmarks'])} benchmark entries, "
+        f"stats_match={d['totals']['stats_match']}")),
+    FIDELITY_SCHEMA_ID: (_FIDELITY, _fidelity_rules, lambda d: (
+        f"{d['summary']['checked']} claims, {d['summary']['failed']} "
+        f"failed, ok={d['summary']['ok']}")),
+    INSIGHT_SCHEMA_ID: (_INSIGHT, _insight_rules, lambda d: (
+        f"{len(d['reports'])} insight reports, cycle accounting balanced")),
+    SCENARIO_SCHEMA_ID: (_SCENARIO, _scenario_rules, lambda d: (
+        f"{d['summary']['cells']} cells, {d['summary']['points']} points, "
+        f"{d['summary']['crossover_points']} crossover pairs on axes "
+        f"{d['summary']['crossover_axes']}")),
+}
+
+
+def _errors(doc, schema_id: str) -> list[str]:
+    if not isinstance(doc, dict):
+        return ["document must be a JSON object"]
+    table, rules, _ = SCHEMAS[schema_id]
+    errors: list[str] = []
+    if doc.get("schema") != schema_id:
+        errors.append(f"schema must be {schema_id!r}, "
+                      f"got {doc.get('schema')!r}")
+    _check(doc, table, "", errors)
+    rules(doc, errors)
+    return errors
 
 
 def document_errors(doc) -> list[str]:
     """Every schema violation found in *doc* (empty list == valid)."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    if doc.get("schema") != SCHEMA_ID:
-        errors.append(
-            f"schema must be {SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("meta must be an object")
-
-    spans = doc.get("spans")
-    if not isinstance(spans, list):
-        errors.append("spans must be a list")
-    else:
-        for i, span in enumerate(spans):
-            _check_span(span, i, errors)
-
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        errors.append("metrics must be a list")
-    else:
-        for i, metric in enumerate(metrics):
-            _check_metric(metric, i, errors)
-
-    trace = doc.get("trace")
-    if not isinstance(trace, dict):
-        errors.append("trace must be an object")
-    else:
-        for field in ("capacity", "emitted", "dropped"):
-            if not isinstance(trace.get(field), int):
-                errors.append(f"trace.{field} must be an int")
-        events = trace.get("events")
-        if not isinstance(events, list):
-            errors.append("trace.events must be a list")
-        else:
-            seqs = []
-            for i, event in enumerate(events):
-                _check_event(event, i, errors)
-                if isinstance(event, dict) and isinstance(
-                    event.get("seq"), int
-                ):
-                    seqs.append(event["seq"])
-            if seqs != sorted(seqs):
-                errors.append("trace.events seq numbers must be increasing")
-    return errors
-
-
-_BENCH_ENTRY_NUMBERS = (
-    "compile_s",
-    "capture_s",
-    "replay_s",
-    "streaming_s",
-    "units",
-    "ops",
-    "trace_bytes",
-)
-_BENCH_TOTAL_NUMBERS = (
-    "capture_s",
-    "replay_s",
-    "streaming_s",
-    "speedup_warm",
-    "speedup_cold",
-)
-#: Present only when the vectorized replay kernel ran (numpy installed
-#: and the kernel not forced to 'python') — validated when present.
-_BENCH_ENTRY_VECTOR_NUMBERS = ("vector_s",)
-_BENCH_TOTAL_VECTOR_NUMBERS = ("vector_s", "speedup_vector", "replay_vs_vector")
-#: The batched-sweep columns (docs/performance.md, "Sweep-batched
-#: replay"). ``bsisa perf`` emits them for every kernel, but older
-#: documents predate them — validated when present.
-_BENCH_ENTRY_SWEEP_NUMBERS = ("sweep_s", "sweep_per_config_s", "sweep_points")
-_BENCH_TOTAL_SWEEP_NUMBERS = ("sweep_s", "sweep_per_config_s", "speedup_sweep")
+    return _errors(doc, SCHEMA_ID)
 
 
 def bench_document_errors(doc) -> list[str]:
     """Every schema violation in a ``BENCH_sim.json`` document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    if doc.get("schema") != BENCH_SCHEMA_ID:
-        errors.append(
-            f"schema must be {BENCH_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("meta must be an object")
-    entries = doc.get("benchmarks")
-    if not isinstance(entries, list) or not entries:
-        errors.append("benchmarks must be a non-empty list")
-        entries = []
-    for i, entry in enumerate(entries):
-        where = f"benchmarks[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for field in ("benchmark", "isa"):
-            if not isinstance(entry.get(field), str) or not entry.get(field):
-                errors.append(f"{where}: missing/empty {field}")
-        for field in _BENCH_ENTRY_NUMBERS:
-            value = entry.get(field)
-            if not isinstance(value, _NUMBER) or value < 0:
-                errors.append(f"{where}: {field} must be a non-negative number")
-        if not isinstance(entry.get("stats_match"), bool):
-            errors.append(f"{where}: stats_match must be a bool")
-        for field in _BENCH_ENTRY_VECTOR_NUMBERS + _BENCH_ENTRY_SWEEP_NUMBERS:
-            if field in entry and (
-                not isinstance(entry[field], _NUMBER) or entry[field] < 0
-            ):
-                errors.append(f"{where}: {field} must be a non-negative number")
-        for field in ("vector_match", "sweep_match"):
-            if field in entry and not isinstance(entry[field], bool):
-                errors.append(f"{where}: {field} must be a bool")
-        if "kernel_fallbacks" in entry:
-            value = entry["kernel_fallbacks"]
-            if type(value) is not int or value < 0:
-                errors.append(
-                    f"{where}: kernel_fallbacks must be a non-negative int"
-                )
-    totals = doc.get("totals")
-    if not isinstance(totals, dict):
-        errors.append("totals must be an object")
-    else:
-        for field in _BENCH_TOTAL_NUMBERS:
-            if not isinstance(totals.get(field), _NUMBER):
-                errors.append(f"totals.{field} must be a number")
-        if not isinstance(totals.get("stats_match"), bool):
-            errors.append("totals.stats_match must be a bool")
-        for field in _BENCH_TOTAL_VECTOR_NUMBERS + _BENCH_TOTAL_SWEEP_NUMBERS:
-            if field in totals and not isinstance(totals[field], _NUMBER):
-                errors.append(f"totals.{field} must be a number")
-    return errors
-
-
-_FIDELITY_STATUSES = ("pass", "fail", "skip")
-_FIDELITY_KINDS = ("numeric", "shape")
-_FIDELITY_FIGURES = (
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-)
-_FIDELITY_SUMMARY_COUNTS = (
-    "checked",
-    "passed",
-    "failed",
-    "skipped",
-    "shape_failed",
-    "numeric_failed",
-)
-
-
-def _check_fidelity_claim(entry, i: int, errors: list[str]) -> None:
-    where = f"claims[{i}]"
-    if not isinstance(entry, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    for field in ("id", "figure", "statement"):
-        if not isinstance(entry.get(field), str) or not entry.get(field):
-            errors.append(f"{where}: missing/empty {field}")
-    if entry.get("figure") not in _FIDELITY_FIGURES:
-        errors.append(f"{where}: unknown figure {entry.get('figure')!r}")
-    kind = entry.get("kind")
-    if kind not in _FIDELITY_KINDS:
-        errors.append(f"{where}: bad kind {kind!r}")
-        return
-    if entry.get("status") not in _FIDELITY_STATUSES:
-        errors.append(f"{where}: bad status {entry.get('status')!r}")
-    if not isinstance(entry.get("detail", ""), str):
-        errors.append(f"{where}: detail must be a string")
-    if kind == "numeric":
-        if not isinstance(entry.get("paper"), _NUMBER):
-            errors.append(f"{where}: numeric paper value must be a number")
-        band = entry.get("band")
-        if not isinstance(band, dict):
-            errors.append(f"{where}: numeric claim needs a band object")
-        else:
-            for side in ("low", "high"):
-                value = band.get(side, None)
-                if value is not None and not isinstance(value, _NUMBER):
-                    errors.append(
-                        f"{where}: band.{side} must be a number or null"
-                    )
-        if entry.get("status") != "skip" and not isinstance(
-            entry.get("measured"), _NUMBER
-        ):
-            errors.append(
-                f"{where}: evaluated numeric claim needs a measured number"
-            )
-    elif entry.get("band") is not None:
-        errors.append(f"{where}: shape claims carry no band")
+    return _errors(doc, BENCH_SCHEMA_ID)
 
 
 def fidelity_document_errors(doc) -> list[str]:
     """Every schema violation in a ``BENCH_paper.json`` document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    if doc.get("schema") != FIDELITY_SCHEMA_ID:
-        errors.append(
-            f"schema must be {FIDELITY_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        errors.append("meta must be an object")
-    else:
-        if not isinstance(meta.get("scale"), _NUMBER) or meta["scale"] <= 0:
-            errors.append("meta.scale must be a positive number")
-        benchmarks = meta.get("benchmarks")
-        if not isinstance(benchmarks, list) or not all(
-            isinstance(b, str) for b in benchmarks
-        ):
-            errors.append("meta.benchmarks must be a list of strings")
-    claims = doc.get("claims")
-    ids = []
-    if not isinstance(claims, list) or not claims:
-        errors.append("claims must be a non-empty list")
-        claims = []
-    for i, entry in enumerate(claims):
-        _check_fidelity_claim(entry, i, errors)
-        if isinstance(entry, dict) and isinstance(entry.get("id"), str):
-            ids.append(entry["id"])
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        errors.append(f"duplicate claim ids: {dupes}")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        errors.append("summary must be an object")
-    else:
-        for field in _FIDELITY_SUMMARY_COUNTS:
-            if not isinstance(summary.get(field), int) or summary[field] < 0:
-                errors.append(f"summary.{field} must be a non-negative int")
-        if not isinstance(summary.get("ok"), bool):
-            errors.append("summary.ok must be a bool")
-        if claims and not errors:
-            statuses = [c["status"] for c in claims]
-            expected = {
-                "checked": len(statuses),
-                "passed": statuses.count("pass"),
-                "failed": statuses.count("fail"),
-                "skipped": statuses.count("skip"),
-            }
-            for field, value in expected.items():
-                if summary[field] != value:
-                    errors.append(
-                        f"summary.{field} is {summary[field]}, claims say "
-                        f"{value}"
-                    )
-            if summary["ok"] != (expected["failed"] == 0):
-                errors.append("summary.ok disagrees with the failure count")
-    return errors
-
-
-_INSIGHT_COUNTS = (
-    "fetched_units",
-    "squashed_units",
-    "fetched_ops",
-    "retired_ops",
-    "squashed_ops",
-)
-
-
-def _check_int_hist(hist, where: str, errors: list[str]) -> dict[int, int]:
-    """Validate a ``{str(int): int >= 0}`` histogram; parsed copy back."""
-    out: dict[int, int] = {}
-    if not isinstance(hist, dict):
-        errors.append(f"{where}: must be an object")
-        return out
-    for key, value in hist.items():
-        try:
-            bin_ = int(key)
-        except (TypeError, ValueError):
-            errors.append(f"{where}: non-integer bin {key!r}")
-            continue
-        if bin_ < 0 or not isinstance(value, int) or value < 0:
-            errors.append(f"{where}: bad bin {key!r}={value!r}")
-            continue
-        out[bin_] = value
-    return out
-
-
-def _check_insight_report(entry, i: int, errors: list[str]) -> None:
-    where = f"reports[{i}]"
-    if not isinstance(entry, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    if not isinstance(entry.get("benchmark"), str) or not entry["benchmark"]:
-        errors.append(f"{where}: missing/empty benchmark")
-    if entry.get("isa") not in ("conventional", "block"):
-        errors.append(f"{where}: bad isa {entry.get('isa')!r}")
-    numbers_ok = True
-    for field in ("cycles",) + INSIGHT_CYCLE_BUCKETS + _INSIGHT_COUNTS:
-        value = entry.get(field)
-        if not isinstance(value, int) or value < 0:
-            errors.append(f"{where}: {field} must be a non-negative int")
-            numbers_ok = False
-    fetch_hist = _check_int_hist(
-        entry.get("fetch_hist"), f"{where}.fetch_hist", errors
-    )
-    unit_fetched = _check_int_hist(
-        entry.get("unit_fetched"), f"{where}.unit_fetched", errors
-    )
-    unit_retired = _check_int_hist(
-        entry.get("unit_retired"), f"{where}.unit_retired", errors
-    )
-    config = entry.get("config")
-    if config is not None and not isinstance(config, dict):
-        errors.append(f"{where}: config must be an object or null")
-    if not numbers_ok:
-        return
-    # The cycle-accounting identity is part of the schema: CI validating
-    # the artifact re-asserts it on the shipped numbers.
-    accounted = sum(entry[b] for b in INSIGHT_CYCLE_BUCKETS)
-    if accounted != entry["cycles"]:
-        errors.append(
-            f"{where}: cycle accounting broken — sum(buckets)={accounted} "
-            f"!= cycles={entry['cycles']}"
-        )
-    if entry["retired_ops"] + entry["squashed_ops"] != entry["fetched_ops"]:
-        errors.append(
-            f"{where}: retired_ops + squashed_ops != fetched_ops"
-        )
-    mass = sum(fetch_hist.values())
-    if mass != entry["busy_fetch"]:
-        errors.append(
-            f"{where}: fetch_hist mass={mass} != busy_fetch="
-            f"{entry['busy_fetch']}"
-        )
-    op_mass = sum(bin_ * count for bin_, count in fetch_hist.items())
-    if op_mass != entry["fetched_ops"]:
-        errors.append(
-            f"{where}: fetch_hist op mass={op_mass} != fetched_ops="
-            f"{entry['fetched_ops']}"
-        )
-    if sum(unit_fetched.values()) != entry["fetched_units"]:
-        errors.append(f"{where}: unit_fetched mass != fetched_units")
-    retired_units = entry["fetched_units"] - entry["squashed_units"]
-    if sum(unit_retired.values()) != retired_units:
-        errors.append(
-            f"{where}: unit_retired mass != fetched_units - squashed_units"
-        )
+    return _errors(doc, FIDELITY_SCHEMA_ID)
 
 
 def insight_document_errors(doc) -> list[str]:
     """Every schema violation in a ``repro.insight/v1`` document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    if doc.get("schema") != INSIGHT_SCHEMA_ID:
-        errors.append(
-            f"schema must be {INSIGHT_SCHEMA_ID!r}, got {doc.get('schema')!r}"
-        )
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("meta must be an object")
-    reports = doc.get("reports")
-    if not isinstance(reports, list) or not reports:
-        errors.append("reports must be a non-empty list")
-        reports = []
-    for i, entry in enumerate(reports):
-        _check_insight_report(entry, i, errors)
-    return errors
-
-
-_SCENARIO_WINNERS = ("block", "conventional", "tie")
-_SCENARIO_REALIZED_NUMBERS = (
-    "mean_bb_ops",
-    "mispredict_rate",
-    "branch_events",
-    "hot_bytes",
-    "static_code_bytes",
-    "block_code_bytes",
-)
-_SCENARIO_AXES = ("bb_size", "bias", "hot_bytes", "icache_kb")
-_SCENARIO_SUMMARY_COUNTS = (
-    "cells",
-    "points",
-    "block_wins",
-    "conventional_wins",
-    "ties",
-    "crossover_points",
-)
-
-
-def _check_scenario_cell(cell, i: int, errors: list[str]) -> None:
-    where = f"cells[{i}]"
-    if not isinstance(cell, dict):
-        errors.append(f"{where}: must be an object")
-        return
-    if not isinstance(cell.get("family"), str) or not cell.get(
-        "family", ""
-    ).startswith("synthetic/"):
-        errors.append(
-            f"{where}: family must be a 'synthetic/…' name, got "
-            f"{cell.get('family')!r}"
-        )
-    target = cell.get("target")
-    if not isinstance(target, dict):
-        errors.append(f"{where}: target must be an object")
-    else:
-        for field in ("bb_size", "bias", "hot_bytes", "seed"):
-            if not isinstance(target.get(field), _NUMBER):
-                errors.append(f"{where}: target.{field} must be a number")
-    realized = cell.get("realized")
-    if not isinstance(realized, dict):
-        errors.append(f"{where}: realized must be an object")
-    else:
-        for field in _SCENARIO_REALIZED_NUMBERS:
-            value = realized.get(field)
-            if not isinstance(value, _NUMBER) or value < 0:
-                errors.append(
-                    f"{where}: realized.{field} must be a non-negative "
-                    f"number"
-                )
-        hist = realized.get("bb_hist")
-        if not isinstance(hist, list) or not all(
-            isinstance(b, list)
-            and len(b) == 2
-            and all(isinstance(v, int) and v > 0 for v in b)
-            for b in hist
-        ):
-            errors.append(
-                f"{where}: realized.bb_hist must be a list of "
-                f"[size, count] positive-int pairs"
-            )
-    if not isinstance(cell.get("attempts"), int) or cell["attempts"] < 1:
-        errors.append(f"{where}: attempts must be a positive int")
-    points = cell.get("results")
-    if not isinstance(points, list) or not points:
-        errors.append(f"{where}: results must be a non-empty list")
-        points = []
-    for j, point in enumerate(points):
-        pwhere = f"{where}.results[{j}]"
-        if not isinstance(point, dict):
-            errors.append(f"{pwhere}: must be an object")
-            continue
-        for field in ("icache_kb", "conventional_cycles", "block_cycles"):
-            value = point.get(field)
-            if not isinstance(value, _NUMBER) or value <= 0:
-                errors.append(f"{pwhere}: {field} must be a positive number")
-        speedup = point.get("speedup")
-        if not isinstance(speedup, _NUMBER) or speedup <= 0:
-            errors.append(f"{pwhere}: speedup must be a positive number")
-        elif isinstance(point.get("conventional_cycles"), _NUMBER) and (
-            isinstance(point.get("block_cycles"), _NUMBER)
-            and point["block_cycles"]
-        ):
-            ratio = point["conventional_cycles"] / point["block_cycles"]
-            if abs(ratio - speedup) > 0.001:
-                errors.append(
-                    f"{pwhere}: speedup={speedup} disagrees with the "
-                    f"cycle ratio {ratio:.4f}"
-                )
-        if point.get("winner") not in _SCENARIO_WINNERS:
-            errors.append(
-                f"{pwhere}: winner must be one of {_SCENARIO_WINNERS}"
-            )
+    return _errors(doc, INSIGHT_SCHEMA_ID)
 
 
 def scenario_document_errors(doc) -> list[str]:
     """Every schema violation in a ``repro.scenario/v1`` document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    if doc.get("schema") != SCENARIO_SCHEMA_ID:
-        errors.append(
-            f"schema must be {SCENARIO_SCHEMA_ID!r}, got "
-            f"{doc.get('schema')!r}"
-        )
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        errors.append("meta must be an object")
-    else:
-        grid = meta.get("grid")
-        if not isinstance(grid, dict):
-            errors.append("meta.grid must be an object")
-        else:
-            for axis in ("bb_size", "bias", "hot_kb", "icache_kb"):
-                values = grid.get(axis)
-                if not isinstance(values, list) or not values or not all(
-                    isinstance(v, _NUMBER) for v in values
-                ):
-                    errors.append(
-                        f"meta.grid.{axis} must be a non-empty number list"
-                    )
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        errors.append("cells must be a non-empty list")
-        cells = []
-    families = []
-    for i, cell in enumerate(cells):
-        _check_scenario_cell(cell, i, errors)
-        if isinstance(cell, dict) and isinstance(cell.get("family"), str):
-            families.append(cell["family"])
-    if len(families) != len(set(families)):
-        dupes = sorted({f for f in families if families.count(f) > 1})
-        errors.append(f"duplicate cell families: {dupes}")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        errors.append("summary must be an object")
-    else:
-        for field in _SCENARIO_SUMMARY_COUNTS:
-            if not isinstance(summary.get(field), int) or summary[field] < 0:
-                errors.append(f"summary.{field} must be a non-negative int")
-        axes = summary.get("crossover_axes")
-        if not isinstance(axes, list) or not all(
-            a in _SCENARIO_AXES for a in axes
-        ):
-            errors.append(
-                f"summary.crossover_axes must be a list drawn from "
-                f"{_SCENARIO_AXES}"
-            )
-        if cells and not errors:
-            points = [
-                p
-                for c in cells
-                for p in c["results"]
-            ]
-            expected = {
-                "cells": len(cells),
-                "points": len(points),
-                "block_wins": sum(
-                    1 for p in points if p["winner"] == "block"
-                ),
-                "conventional_wins": sum(
-                    1 for p in points if p["winner"] == "conventional"
-                ),
-                "ties": sum(1 for p in points if p["winner"] == "tie"),
-            }
-            for field, value in expected.items():
-                if summary[field] != value:
-                    errors.append(
-                        f"summary.{field} is {summary[field]}, cells say "
-                        f"{value}"
-                    )
-    return errors
+    return _errors(doc, SCENARIO_SCHEMA_ID)
 
 
 def validate_document(doc) -> None:
@@ -677,53 +423,25 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1:
         print("usage: python -m repro.obs.schema FILE", file=sys.stderr)
         return 2
-    with open(argv[0], "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA_ID:
-        errors = bench_document_errors(doc)
-    elif isinstance(doc, dict) and doc.get("schema") == FIDELITY_SCHEMA_ID:
-        errors = fidelity_document_errors(doc)
-    elif isinstance(doc, dict) and doc.get("schema") == INSIGHT_SCHEMA_ID:
-        errors = insight_document_errors(doc)
-    elif isinstance(doc, dict) and doc.get("schema") == SCENARIO_SCHEMA_ID:
-        errors = scenario_document_errors(doc)
+    try:
+        with open(argv[0], "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"{argv[0]}: cannot read: {exc}", file=sys.stderr)
+        return 2
+    # A non-object document fails _errors' first check under any id.
+    schema_id = doc.get("schema") if isinstance(doc, dict) else SCHEMA_ID
+    if isinstance(schema_id, str) and schema_id in SCHEMAS:
+        errors = _errors(doc, schema_id)
     else:
-        errors = document_errors(doc)
+        errors = [f"unknown schema {schema_id!r}; known schemas: "
+                  f"{', '.join(SCHEMAS)}"]
     if errors:
         print(f"{argv[0]}: INVALID", file=sys.stderr)
         for err in errors:
             print(f"  {err}", file=sys.stderr)
         return 1
-    if doc.get("schema") == BENCH_SCHEMA_ID:
-        print(
-            f"{argv[0]}: ok ({len(doc['benchmarks'])} benchmark entries, "
-            f"stats_match={doc['totals']['stats_match']})"
-        )
-    elif doc.get("schema") == FIDELITY_SCHEMA_ID:
-        summary = doc["summary"]
-        print(
-            f"{argv[0]}: ok ({summary['checked']} claims, "
-            f"{summary['failed']} failed, ok={summary['ok']})"
-        )
-    elif doc.get("schema") == INSIGHT_SCHEMA_ID:
-        print(
-            f"{argv[0]}: ok ({len(doc['reports'])} insight reports, "
-            f"cycle accounting balanced)"
-        )
-    elif doc.get("schema") == SCENARIO_SCHEMA_ID:
-        summary = doc["summary"]
-        print(
-            f"{argv[0]}: ok ({summary['cells']} cells, "
-            f"{summary['points']} points, "
-            f"{summary['crossover_points']} crossover pairs on axes "
-            f"{summary['crossover_axes']})"
-        )
-    else:
-        print(
-            f"{argv[0]}: ok ({len(doc['metrics'])} metric series, "
-            f"{len(doc['spans'])} spans, {len(doc['trace']['events'])} "
-            f"trace events)"
-        )
+    print(f"{argv[0]}: ok ({SCHEMAS[schema_id][2](doc)})")
     return 0
 
 

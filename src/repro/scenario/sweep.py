@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from repro.core.toolchain import Toolchain
 from repro.harness.render import ascii_table
+from repro.obs.schema import SCENARIO_SCHEMA_ID
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.synth import DEFAULT_BUDGET, generate_source, synthesize
 from repro.sim.config import MachineConfig
 from repro.sim.run import capture_run, replay_sweep
-
-SCENARIO_SCHEMA_ID = "repro.scenario/v1"
 
 #: relative cycle margin below which a point counts as a tie.
 TIE_BAND = 0.005

@@ -290,7 +290,10 @@ class TestSchema:
         doc["trace"]["events"][0]["event"] = "teleport"
         doc["trace"]["events"][0]["seq"] = 99
         errors = document_errors(doc)
-        assert any("unknown event kind" in e for e in errors)
+        assert any(
+            e.startswith("trace.events[0].event ") and "'teleport'" in e
+            for e in errors
+        )
         assert any("increasing" in e for e in errors)
 
     def test_bad_metric_and_span(self):
@@ -298,8 +301,14 @@ class TestSchema:
         doc["metrics"][0]["kind"] = "sundial"
         doc["spans"][0]["duration_s"] = -1
         errors = document_errors(doc)
-        assert any("bad kind" in e for e in errors)
-        assert any("negative duration" in e for e in errors)
+        assert any(
+            e.startswith("metrics[0].kind ") and "'sundial'" in e
+            for e in errors
+        )
+        assert any(
+            e.startswith("spans[0].duration_s must be a non-negative number")
+            for e in errors
+        )
 
     def test_write_json_validates(self, tmp_path):
         tel = Telemetry()

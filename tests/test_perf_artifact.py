@@ -58,7 +58,8 @@ def test_kernel_fallbacks_column_is_recorded_and_validated():
     for bad in (-1, 1.0, True, "0"):
         doc["benchmarks"][0]["kernel_fallbacks"] = bad
         assert bench_document_errors(doc) == [
-            "benchmarks[0]: kernel_fallbacks must be a non-negative int"
+            "benchmarks[0].kernel_fallbacks must be a non-negative int, "
+            f"got {bad!r}"
         ], bad
 
 
