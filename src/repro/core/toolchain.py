@@ -122,18 +122,33 @@ class Toolchain:
         return module
 
     def compile(self, source: str, name: str = "program") -> CompiledPair:
-        """Compile *source* for both ISAs."""
+        """Compile *source* for both ISAs: the conventional half, then
+        the block half on the same optimized module."""
         tel = self._tel()
         with tel.span("compile", module=name):
-            module = self.compile_ir(source, name)
-            with tel.span("compile.backend", module=name, isa="conventional"):
-                conventional = generate_conventional(
-                    module, name, telemetry=tel
-                )
-            with tel.span("compile.backend", module=name, isa="block"):
-                block = generate_block_structured(
-                    module, name, self.enlarge, telemetry=tel
-                )
+            module, conventional = self.compile_conventional(source, name)
+            return self.complete_pair(module, conventional, name)
+
+    def compile_conventional(
+        self, source: str, name: str = "program"
+    ) -> tuple[Module, ConventionalProgram]:
+        """Conventional half of :meth:`compile`: front end, optimizer and
+        conventional back end. Returns the optimized module too, so
+        :meth:`complete_pair` can build the block image from it later."""
+        tel = self._tel()
+        module = self.compile_ir(source, name)
+        with tel.span("compile.backend", module=name, isa="conventional"):
+            conventional = generate_conventional(module, name, telemetry=tel)
+        return module, conventional
+
+    def complete_pair(
+        self, module: Module, conventional: ConventionalProgram, name: str
+    ) -> CompiledPair:
+        """Block half of :meth:`compile`: the block back end on the
+        *module* that produced *conventional*, plus the code-size
+        gauges."""
+        tel = self._tel()
+        block = self.compile_block(module, name)
         if tel.enabled:
             tel.metrics.gauge(
                 "compile.code_bytes", conventional.code_bytes,
@@ -151,6 +166,14 @@ class Toolchain:
             )
         return CompiledPair(name, module, conventional, block)
 
+    def compile_block(self, module: Module, name: str) -> BlockProgram:
+        """The block back end alone, on an optimized *module*."""
+        tel = self._tel()
+        with tel.span("compile.backend", module=name, isa="block"):
+            return generate_block_structured(
+                module, name, self.enlarge, telemetry=tel
+            )
+
     def compile_profile_guided(
         self, source: str, name: str = "program", min_bias: float = 0.75
     ) -> CompiledPair:
@@ -165,8 +188,7 @@ class Toolchain:
         from repro.profile import collect_branch_profile
 
         tel = self._tel()
-        module = self.compile_ir(source, name)
-        conventional = generate_conventional(module, name, telemetry=tel)
+        module, conventional = self.compile_conventional(source, name)
         with tel.span("compile.profile", module=name):
             profile = collect_branch_profile(conventional)
         guided = replace(self.enlarge, profile=profile, min_bias=min_bias)
@@ -191,7 +213,7 @@ def compile_conventional(
     source: str, name: str = "program", opt_level: int = 2
 ) -> ConventionalProgram:
     """One-shot: MiniC source → conventional executable."""
-    return Toolchain(opt_level).compile(source, name).conventional
+    return Toolchain(opt_level).compile_conventional(source, name)[1]
 
 
 def compile_block_structured(
@@ -201,7 +223,8 @@ def compile_block_structured(
     enlarge: EnlargeConfig | None = None,
 ) -> BlockProgram:
     """One-shot: MiniC source → BS-ISA executable."""
-    return Toolchain(opt_level, enlarge).compile(source, name).block
+    toolchain = Toolchain(opt_level, enlarge)
+    return toolchain.compile_block(toolchain.compile_ir(source, name), name)
 
 
 def compile_pair(

@@ -1,4 +1,16 @@
-"""Hand-written lexer for MiniC.
+"""Regex lexer for MiniC.
+
+One compiled master pattern of named groups, one alternative per token
+class, is matched across the source in a single pass (the technique of
+lark's ``lexer="basic"``); the loop only dispatches on the group that
+matched and tracks line starts. Alternatives are tried in order, so a
+closed ``/* ... */`` comment wins over an unterminated opener, which
+wins over the ``/`` operator, and a last catch-all group turns any
+other character into an error instead of skipping it.
+
+Identifiers and numbers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*`` and
+ASCII digits. Any other character, non-ASCII letters and digits
+included, is an ``unexpected character`` error.
 
 Lex errors carry a :class:`~repro.lang.diagnostics.Diagnostic`: the
 rendered message always includes line/column and a caret-underlined
@@ -9,190 +21,112 @@ nothing useful).
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexError
 from repro.lang.diagnostics import Diagnostic, Span
 from repro.lang.tokens import KEYWORDS, TokKind, Token
 
-_TWO_CHAR = {
-    "<<": TokKind.SHL,
-    ">>": TokKind.SHR,
-    "&&": TokKind.ANDAND,
-    "||": TokKind.OROR,
-    "==": TokKind.EQEQ,
-    "!=": TokKind.BANGEQ,
-    "<=": TokKind.LE,
-    ">=": TokKind.GE,
+_OPERATORS = {
+    kind.value: kind
+    for kind in TokKind
+    if not kind.value.replace("_", "").isalnum()
 }
 
-_ONE_CHAR = {
-    "(": TokKind.LPAREN,
-    ")": TokKind.RPAREN,
-    "{": TokKind.LBRACE,
-    "}": TokKind.RBRACE,
-    "[": TokKind.LBRACKET,
-    "]": TokKind.RBRACKET,
-    ";": TokKind.SEMI,
-    ",": TokKind.COMMA,
-    ".": TokKind.DOT,
-    ":": TokKind.COLON,
-    "+": TokKind.PLUS,
-    "-": TokKind.MINUS,
-    "*": TokKind.STAR,
-    "/": TokKind.SLASH,
-    "%": TokKind.PERCENT,
-    "&": TokKind.AMP,
-    "|": TokKind.PIPE,
-    "^": TokKind.CARET,
-    "!": TokKind.BANG,
-    "<": TokKind.LT,
-    ">": TokKind.GT,
-    "=": TokKind.ASSIGN,
-}
+_MASTER = re.compile(
+    "|".join([
+        r"(?P<space>[ \t\r\n]+)",
+        r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+        r"(?P<hex>0[xX][0-9A-Za-z]*)",
+        r"(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))",
+        r"(?P<int>[0-9]+)",
+        r"(?P<comment>//[^\n]*|/\*(?s:.*?)\*/)",
+        r"(?P<unclosed>/\*)",
+        # longest operators first: alternation takes the first match
+        "(?P<op>" + "|".join(
+            re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True)
+        ) + ")",
+        r"(?P<stray>(?s:.))",
+    ])
+)
+
+_IDENT = TokKind.IDENT
+_INT_LIT = TokKind.INT_LIT
+_FLOAT_LIT = TokKind.FLOAT_LIT
+_new = tuple.__new__  # Token(...) without the keyword-capable __new__
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    @property
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def error(
-        self,
-        message: str,
-        line: int,
-        col: int,
-        width: int = 1,
-        hint: str | None = None,
-        notes: tuple[str, ...] = (),
-    ) -> LexError:
-        return LexError(
+def _error(
+    source: str,
+    message: str,
+    line: int,
+    col: int,
+    width: int = 1,
+    hint: str | None = None,
+    notes: tuple[str, ...] = (),
+) -> LexError:
+    return LexError(
+        message,
+        diagnostic=Diagnostic(
             message,
-            diagnostic=Diagnostic(
-                message,
-                Span(line, col, col + width),
-                source=self.text,
-                hint=hint,
-                notes=notes,
-            ),
-        )
-
-
-def _skip_trivia(cur: _Cursor) -> None:
-    while not cur.at_end:
-        ch = cur.peek()
-        if ch in " \t\r\n":
-            cur.advance()
-        elif ch == "/" and cur.peek(1) == "/":
-            while not cur.at_end and cur.peek() != "\n":
-                cur.advance()
-        elif ch == "/" and cur.peek(1) == "*":
-            line, col = cur.line, cur.col
-            cur.advance(2)
-            while not (cur.peek() == "*" and cur.peek(1) == "/"):
-                if cur.at_end:
-                    raise cur.error(
-                        "unterminated block comment",
-                        line,
-                        col,
-                        width=2,
-                        hint="add the closing '*/'",
-                        notes=(
-                            f"the comment opened here (line {line}) is "
-                            "still open at end of input",
-                        ),
-                    )
-                cur.advance()
-            cur.advance(2)
-        else:
-            return
-
-
-def _lex_number(cur: _Cursor) -> Token:
-    line, col = cur.line, cur.col
-    start = cur.pos
-    text = cur.text
-    if cur.peek() == "0" and cur.peek(1) in "xX":
-        cur.advance(2)
-        while cur.peek().isalnum():
-            cur.advance()
-        literal = text[start : cur.pos]
-        try:
-            return Token(TokKind.INT_LIT, literal, line, col, int(literal, 16))
-        except ValueError:
-            raise cur.error(
-                f"invalid hex literal {literal!r}", line, col, width=len(literal)
-            )
-    while cur.peek().isdigit():
-        cur.advance()
-    is_float = False
-    if cur.peek() == "." and cur.peek(1).isdigit():
-        is_float = True
-        cur.advance()
-        while cur.peek().isdigit():
-            cur.advance()
-    if cur.peek() in "eE" and (
-        cur.peek(1).isdigit() or (cur.peek(1) in "+-" and cur.peek(2).isdigit())
-    ):
-        is_float = True
-        cur.advance()
-        if cur.peek() in "+-":
-            cur.advance()
-        while cur.peek().isdigit():
-            cur.advance()
-    literal = text[start : cur.pos]
-    if is_float:
-        return Token(TokKind.FLOAT_LIT, literal, line, col, float(literal))
-    return Token(TokKind.INT_LIT, literal, line, col, int(literal))
+            Span(line, col, col + width),
+            source=source,
+            hint=hint,
+            notes=notes,
+        ),
+    )
 
 
 def tokenize(source: str) -> list[Token]:
     """Convert MiniC *source* into a token list ending with EOF."""
-    cur = _Cursor(source)
     tokens: list[Token] = []
-    while True:
-        _skip_trivia(cur)
-        if cur.at_end:
-            tokens.append(Token(TokKind.EOF, "", cur.line, cur.col))
-            return tokens
-        line, col = cur.line, cur.col
-        ch = cur.peek()
-        if ch.isdigit():
-            tokens.append(_lex_number(cur))
+    append = tokens.append
+    keywords = KEYWORDS.get
+    operators = _OPERATORS
+    line = 1
+    line_start = 0  # source offset of the current line's first column
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        text = match.group()
+        if group == "space" or group == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if ch.isalpha() or ch == "_":
-            start = cur.pos
-            while cur.peek().isalnum() or cur.peek() == "_":
-                cur.advance()
-            word = cur.text[start : cur.pos]
-            kind = KEYWORDS.get(word, TokKind.IDENT)
-            tokens.append(Token(kind, word, line, col))
-            continue
-        pair = ch + cur.peek(1)
-        if pair in _TWO_CHAR:
-            cur.advance(2)
-            tokens.append(Token(_TWO_CHAR[pair], pair, line, col))
-            continue
-        if ch in _ONE_CHAR:
-            cur.advance()
-            tokens.append(Token(_ONE_CHAR[ch], ch, line, col))
-            continue
-        raise cur.error(f"unexpected character {ch!r}", line, col)
+        col = match.start() - line_start + 1
+        if group == "word":
+            kind = keywords(text, _IDENT)
+            append(_new(Token, (kind, text, line, col, None)))
+        elif group == "op":
+            append(_new(Token, (operators[text], text, line, col, None)))
+        elif group == "int":
+            append(_new(Token, (_INT_LIT, text, line, col, int(text))))
+        elif group == "float":
+            append(_new(Token, (_FLOAT_LIT, text, line, col, float(text))))
+        elif group == "hex":
+            try:
+                value = int(text, 16)
+            except ValueError:
+                raise _error(
+                    source, f"invalid hex literal {text!r}", line, col,
+                    width=len(text),
+                ) from None
+            append(_new(Token, (_INT_LIT, text, line, col, value)))
+        elif group == "unclosed":
+            raise _error(
+                source,
+                "unterminated block comment",
+                line,
+                col,
+                width=2,
+                hint="add the closing '*/'",
+                notes=(
+                    f"the comment opened here (line {line}) is "
+                    "still open at end of input",
+                ),
+            )
+        else:
+            raise _error(source, f"unexpected character {text!r}", line, col)
+    append(Token(TokKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokKind(enum.Enum):
@@ -81,8 +81,10 @@ KEYWORDS: dict[str, TokKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexed token: an immutable record, cheap to build (the lexer
+    makes one per word, number and operator of every compiled source)."""
+
     kind: TokKind
     text: str
     line: int

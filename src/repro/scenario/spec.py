@@ -26,8 +26,12 @@ never hardcode them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.scenario.synth import Attempt
 
 #: inclusive bounds for each axis knob (also quoted in errors).
 BB_SIZE_RANGE = (2, 24)
@@ -161,3 +165,8 @@ class SynthesisResult:
     realized: RealizedAxes
     attempts: int
     history: tuple[str, ...] = field(default=(), compare=False)
+    #: the chosen attempt's compiled pair and conventional capture. Only
+    #: the call that ran the search returns it (its caller may reuse
+    #: them instead of recompiling the same source); the synthesis memo
+    #: stores results without it, so it retains no programs or traces.
+    chosen: Attempt | None = field(default=None, compare=False, repr=False)

@@ -5,7 +5,10 @@ synthesizes one family, compiles it once per ISA, captures one
 functional run per ISA, and then replays that capture across every
 icache size through :func:`repro.sim.run.replay_sweep` — so the
 machine-axis dimension rides the sweep-batched replay path
-(docs/performance.md) instead of re-simulating.
+(docs/performance.md) instead of re-simulating. When the cell's source
+is the one the synthesis search just chose (the default scale), the
+cell takes that attempt's compiled pair and conventional capture from
+the search's result instead of compiling and capturing it again.
 
 The result is a schema-versioned ``repro.scenario/v1`` document
 (validated by ``python -m repro.obs.schema``): per-point
@@ -22,9 +25,14 @@ from repro.harness.render import ascii_table
 from repro.obs.schema import SCENARIO_SCHEMA_ID
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.scenario.spec import ScenarioSpec
-from repro.scenario.synth import DEFAULT_BUDGET, generate_source, synthesize
+from repro.scenario.synth import (
+    DEFAULT_BUDGET,
+    MEASURE_CONFIG,
+    generate_source,
+    synthesize,
+)
 from repro.sim.config import MachineConfig
-from repro.sim.run import capture_run, replay_sweep
+from repro.sim.run import capture_run, predictor_key, replay_sweep
 
 #: relative cycle margin below which a point counts as a tie.
 TIE_BAND = 0.005
@@ -55,19 +63,40 @@ def sweep_cell(
     telemetry: Telemetry | None = None,
 ) -> dict:
     """One grid cell: synthesize, capture both ISAs once, replay the
-    icache axis batched."""
+    icache axis batched.
+
+    When this call ran the search and the cell's source is the chosen
+    attempt's, the cell reuses that attempt's compiled pair and its
+    conventional capture (a trace depends only on the program and the
+    predictor); otherwise it compiles and captures the source itself.
+    """
     tel = telemetry if telemetry is not None else get_telemetry()
     synth = synthesize(spec, budget)
     source = generate_source(spec, synth.params, scale)
+    configs = [MachineConfig().with_icache_kb(kb) for kb in icache_kb]
+    realized, attempts = synth.realized.as_dict(), synth.attempts
+    pair, captures = None, {}
+    chosen = synth.chosen
+    if (
+        chosen is not None
+        and chosen.source == source
+        and predictor_key(configs[0]) == predictor_key(MEASURE_CONFIG)
+    ):
+        pair, captures["conventional"] = chosen.pair, chosen.captured
+    # only *captures* holds the reused capture from here on, so it is
+    # freed once replayed, as a fresh capture would be
+    del synth, chosen
     with tel.span("scenario.cell", family=spec.family_name):
-        pair = Toolchain(telemetry=tel).compile(source, spec.family_name)
-        configs = [MachineConfig().with_icache_kb(kb) for kb in icache_kb]
+        if pair is None:
+            pair = Toolchain(telemetry=tel).compile(source, spec.family_name)
         results = {}
         for isa, prog in (
             ("conventional", pair.conventional),
             ("block", pair.block),
         ):
-            captured = capture_run(prog, isa, configs[0], tel)
+            captured = captures.pop(isa, None)
+            if captured is None:
+                captured = capture_run(prog, isa, configs[0], tel)
             results[isa] = replay_sweep(
                 captured, configs, telemetry=tel, kernel=kernel
             )
@@ -90,8 +119,8 @@ def sweep_cell(
             "hot_bytes": spec.hot_bytes,
             "seed": spec.seed,
         },
-        "realized": synth.realized.as_dict(),
-        "attempts": synth.attempts,
+        "realized": realized,
+        "attempts": attempts,
         "results": points,
     }
 

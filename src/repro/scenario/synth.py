@@ -5,7 +5,11 @@ the compiler then schedules, enlarges nothing (conventional image), and
 encodes, so the realized basic-block sizes and footprint are emergent.
 :func:`synthesize` closes the loop: generate, compile, measure
 (:func:`measure_axes`), and adjust the generator params within a
-bounded attempt budget, keeping the best-scoring attempt. Everything is
+bounded attempt budget, keeping the best-scoring attempt. The search
+compiles and captures only the conventional image (every scored axis
+comes from it) and builds the block image once, for the chosen attempt;
+the call that ran the search hands that attempt's programs and capture
+to its caller (:attr:`SynthesisResult.chosen`). Everything is
 a pure function of ``(spec, budget)`` — generator randomness is seeded
 from the spec/params key strings, measurement runs at a fixed internal
 scale — so regeneration is byte-identical and the realized report is
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from functools import lru_cache
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, replace
 
 from repro.check.genprog import GenConfig, ProgramBuilder
-from repro.core.toolchain import Toolchain
+from repro.core.toolchain import CompiledPair, Toolchain
+from repro.ir.structure import Module
 from repro.isa.opcodes import OPCODE_INFO
 from repro.isa.program import LINE_BYTES, OP_BYTES, ConventionalProgram
 from repro.obs.telemetry import Telemetry
@@ -42,7 +47,7 @@ from repro.scenario.spec import (
     SynthesisResult,
 )
 from repro.sim.config import MachineConfig
-from repro.sim.run import capture_run
+from repro.sim.run import CapturedRun, capture_run
 from repro.workloads.base import RNG_FILL, iterations
 
 #: fraction of dynamic fetch mass the hot-region measurement covers —
@@ -62,6 +67,12 @@ HOT_TOL = (0.70, 1.40)
 
 #: size of the pseudo-random operand pool in ``main``.
 DATA_N = 256
+
+#: synthesis results memoized per process (see :func:`synthesize`).
+MEMO_SIZE = 64
+
+#: the machine config every measurement captures under (gshare).
+MEASURE_CONFIG = MachineConfig()
 
 _SILENT = Telemetry(enabled=False, trace_capacity=1, span_capacity=1)
 
@@ -200,31 +211,62 @@ def hot_footprint_bytes(trace, coverage: float = HOT_COVERAGE) -> int:
     return hot_lines * LINE_BYTES
 
 
-def measure_axes(source: str, name: str = "scenario") -> RealizedAxes:
-    """Compile *source* and measure all three realized axis values.
+@dataclass(frozen=True)
+class Attempt:
+    """One measured synthesis attempt and the programs it was measured on.
 
-    Uses a silent telemetry session and the default gshare machine
-    config, so measurement never pollutes the caller's metrics and the
-    report depends only on the source bytes.
+    The search scores attempts on their conventional image alone, so
+    until :meth:`complete` builds the block image ``pair`` is ``None``
+    and ``axes.block_code_bytes`` is 0. ``captured`` is the conventional
+    image's run under :data:`MEASURE_CONFIG`.
     """
-    pair = Toolchain(telemetry=_SILENT).compile(source, name)
-    hist = static_block_histogram(pair.conventional)
+
+    source: str
+    name: str
+    axes: RealizedAxes
+    module: Module
+    conventional: ConventionalProgram
+    captured: CapturedRun
+    pair: CompiledPair | None = None
+
+    def complete(self) -> Attempt:
+        """This attempt with its block image built and measured."""
+        pair = Toolchain(telemetry=_SILENT).complete_pair(
+            self.module, self.conventional, self.name
+        )
+        axes = replace(self.axes, block_code_bytes=pair.block.code_bytes)
+        return replace(self, axes=axes, pair=pair)
+
+
+def measure_axes(source: str, name: str = "scenario") -> Attempt:
+    """Compile *source*'s conventional image and measure its axes.
+
+    Uses a silent telemetry session and :data:`MEASURE_CONFIG`, so
+    measurement never pollutes the caller's metrics and the report
+    depends only on the source bytes. The block image is left to
+    :meth:`Attempt.complete`.
+    """
+    module, conventional = Toolchain(telemetry=_SILENT).compile_conventional(
+        source, name
+    )
+    hist = static_block_histogram(conventional)
     blocks = sum(hist.values())
     total_ops = sum(size * count for size, count in hist.items())
     captured = capture_run(
-        pair.conventional, "conventional", MachineConfig(), _SILENT
+        conventional, "conventional", MEASURE_CONFIG, _SILENT
     )
     branches = captured.stats.branches
     rate = captured.stats.mispredicts / branches if branches else 0.0
-    return RealizedAxes(
+    axes = RealizedAxes(
         mean_bb_ops=round(total_ops / blocks, 4) if blocks else 0.0,
         bb_hist=tuple(sorted(hist.items())),
         mispredict_rate=round(rate, 4),
         branch_events=branches,
         hot_bytes=hot_footprint_bytes(captured.trace),
-        static_code_bytes=pair.conventional.code_bytes,
-        block_code_bytes=pair.block.code_bytes,
+        static_code_bytes=conventional.code_bytes,
+        block_code_bytes=0,
     )
+    return Attempt(source, name, axes, module, conventional, captured)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +323,49 @@ def _adjust(
     return SynthParams(run_len=run_len, n_branches=n_branches, copies=copies)
 
 
-@lru_cache(maxsize=64)
+def _search(
+    spec: ScenarioSpec, budget: int = DEFAULT_BUDGET
+) -> SynthesisResult:
+    """The uncached search behind :func:`synthesize`; its result
+    carries the chosen attempt in ``chosen``."""
+    params = _initial_params(spec)
+    best: Attempt | None = None
+    best_params = params
+    history: list[str] = []
+    seen = {params}
+    attempt = 0
+    for attempt in range(1, max(1, budget) + 1):
+        source = generate_source(spec, params)
+        measured = measure_axes(source, spec.family_name)
+        axes = measured.axes
+        history.append(
+            f"attempt {attempt}: {params.key()} -> "
+            f"bb={axes.mean_bb_ops} hot={axes.hot_bytes}"
+        )
+        if best is None or _score(axes, spec) < _score(best.axes, spec):
+            best, best_params = measured, params
+        del measured  # keep only the best-so-far attempt's programs alive
+        if _within(axes, spec):
+            break
+        params = _adjust(params, axes, spec)
+        if params in seen:
+            break
+        seen.add(params)
+    assert best is not None
+    chosen = best.complete()
+    return SynthesisResult(
+        spec=spec,
+        params=best_params,
+        realized=chosen.axes,
+        attempts=attempt,
+        history=tuple(history),
+        chosen=chosen,
+    )
+
+
+_MEMO: OrderedDict[tuple[ScenarioSpec, int], SynthesisResult] = OrderedDict()
+
+
 def synthesize(
     spec: ScenarioSpec, budget: int = DEFAULT_BUDGET
 ) -> SynthesisResult:
@@ -290,40 +374,28 @@ def synthesize(
     Deterministic per ``(spec, budget)``; returns the best-scoring
     attempt (by symmetric log error over the static axes) even when no
     attempt lands inside both tolerance bands, so every family always
-    ships with honest realized values. Memoized: workload regeneration
-    and repeated sweeps pay the search once per process.
+    ships with honest realized values.
+
+    Memoized (the last :data:`MEMO_SIZE` results): workload
+    regeneration and repeated sweeps pay the search once per process.
+    Only the call that runs the search returns the chosen attempt in
+    ``chosen``; the memo keeps the result without it, so it holds no
+    programs or traces. ``synthesize.cache_clear()`` empties the memo
+    and ``synthesize.__wrapped__`` is the uncached search.
     """
-    params = _initial_params(spec)
-    best: SynthesisResult | None = None
-    history: list[str] = []
-    seen = {params}
-    attempt = 0
-    for attempt in range(1, max(1, budget) + 1):
-        source = generate_source(spec, params)
-        axes = measure_axes(source, spec.family_name)
-        history.append(
-            f"attempt {attempt}: {params.key()} -> "
-            f"bb={axes.mean_bb_ops} hot={axes.hot_bytes}"
-        )
-        candidate = SynthesisResult(
-            spec=spec, params=params, realized=axes, attempts=attempt
-        )
-        if best is None or _score(axes, spec) < _score(best.realized, spec):
-            best = candidate
-        if _within(axes, spec):
-            break
-        params = _adjust(params, axes, spec)
-        if params in seen:
-            break
-        seen.add(params)
-    assert best is not None
-    return SynthesisResult(
-        spec=best.spec,
-        params=best.params,
-        realized=best.realized,
-        attempts=attempt,
-        history=tuple(history),
-    )
+    key = (spec, budget)
+    if key in _MEMO:
+        _MEMO.move_to_end(key)
+        return _MEMO[key]
+    result = _search(spec, budget)
+    _MEMO[key] = replace(result, chosen=None)
+    if len(_MEMO) > MEMO_SIZE:
+        _MEMO.popitem(last=False)
+    return result
+
+
+synthesize.cache_clear = _MEMO.clear
+synthesize.__wrapped__ = _search
 
 
 def family_source(spec: ScenarioSpec, scale: float = 1.0) -> str:

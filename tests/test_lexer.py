@@ -115,3 +115,26 @@ def test_all_keywords_recognized():
     for word, kind in KEYWORDS.items():
         toks = tokenize(word)
         assert toks[0].kind is kind, word
+
+
+@pytest.mark.parametrize(
+    "source, char, col",
+    [
+        ("int x = ²;", "²", 9),  # superscript two: str.isdigit() is True
+        ("1²", "²", 2),
+        ("²x", "²", 1),
+        ("x = ٣;", "٣", 5),  # Arabic-Indic three: int() would accept it
+        ("é", "é", 1),
+        ("int café;", "é", 8),
+    ],
+)
+def test_non_ascii_characters_are_located_errors(source, char, col):
+    # identifiers and numbers are ASCII; anything else is a LexError
+    # with a span, never a ValueError or a Unicode identifier
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    diag = exc.value.diagnostic
+    assert diag.message == f"unexpected character {char!r}"
+    assert (diag.span.line, diag.span.column, diag.span.end_column) == (
+        1, col, col + 1,
+    )

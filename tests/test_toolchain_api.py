@@ -40,6 +40,45 @@ def test_one_shot_helpers():
     assert block.entry_label == "_start"
 
 
+def _ops(ops) -> list[tuple]:
+    return [tuple(getattr(op, slot) for slot in type(op).__slots__) for op in ops]
+
+
+def _blocks(prog) -> list[tuple]:
+    return [
+        (b.label, b.addr, b.path, b.path_dirs, b.fault_indices, _ops(b.ops))
+        for b in prog.blocks
+    ]
+
+
+@pytest.mark.parametrize("source", [SMALL, FEATURE_PROGRAM])
+def test_one_shot_helpers_build_only_their_image(source, monkeypatch):
+    from repro.core import toolchain
+
+    pair = Toolchain().compile(source, "program")
+    calls = {"conventional": 0, "block": 0}
+    for isa, attr in (
+        ("conventional", "generate_conventional"),
+        ("block", "generate_block_structured"),
+    ):
+        def counted(*args, _isa=isa, _original=getattr(toolchain, attr),
+                    **kwargs):
+            calls[_isa] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(toolchain, attr, counted)
+    conv = compile_conventional(source)
+    assert calls == {"conventional": 1, "block": 0}
+    block = compile_block_structured(source)
+    assert calls == {"conventional": 1, "block": 1}
+    assert _ops(conv.ops) == _ops(pair.conventional.ops)
+    assert conv.code_bytes == pair.conventional.code_bytes
+    assert conv.disassemble() == pair.conventional.disassemble()
+    assert _blocks(block) == _blocks(pair.block)
+    assert block.code_bytes == pair.block.code_bytes
+    assert block.disassemble() == pair.block.disassemble()
+
+
 def test_compare_runs_and_matches():
     cmp = compare_isas(SMALL, "small", config=MachineConfig())
     assert cmp.outputs_match
