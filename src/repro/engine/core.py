@@ -49,6 +49,7 @@ from repro.insight import InsightCollector, InsightReport
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim.run import (
     CapturedRun,
+    ReplayPrep,
     SimResult,
     capture_run,
     predictor_key,
@@ -265,20 +266,26 @@ class ExperimentEngine:
             self._insights[spec] = report
         return result
 
-    def _replay(self, spec: RunSpec, captured: CapturedRun):
+    def _replay(
+        self,
+        spec: RunSpec,
+        captured: CapturedRun,
+        prep: ReplayPrep | None = None,
+    ):
         """One spanned replay of *captured* under *spec*'s config.
 
         Returns ``(result, report)`` — *report* is ``None`` outside
         insight mode. Shared by the single-run path and the grouped
         serial sweep path so every replay carries the same
-        ``plan.run`` span and ``plan.trace_replays`` count.
+        ``plan.run`` span and ``plan.trace_replays`` count. *prep* is
+        the group's replay precompute (none on the single-run path).
         """
         tel = self._tel()
         collector = InsightCollector() if self.insight else None
         with tel.span("plan.run", **spec.labels()):
             result = replay_captured(
                 captured, spec.config, tel,
-                insight=collector, kernel=self.kernel,
+                insight=collector, kernel=self.kernel, prep=prep,
             )
         tel.count("plan.trace_replays")
         report = None
@@ -337,28 +344,35 @@ class ExperimentEngine:
         return list(groups.values())
 
     def _execute_serial(self, missing: list[RunSpec], tel: Telemetry) -> None:
+        for specs in self._sweep_groups(missing):
+            self._execute_group(specs, tel)
+
+    def _execute_group(self, specs: list[RunSpec], tel: Telemetry) -> None:
         # Sweep-batched serial path: capture once per group, run the
         # shared multi-geometry precompute, then replay per spec —
         # bit-identical to calling run() per spec, just without
-        # re-deriving the per-trace work for every config.
-        for specs in self._sweep_groups(missing):
-            captured = self.captured_run(specs[0])
-            tel.count("plan.sweep_groups")
-            prepare_sweep(
-                captured,
-                [spec.config for spec in specs],
-                kernel=self.kernel,
-                telemetry=tel,
-            )
-            for i, spec in enumerate(specs):
-                if i:
-                    tel.count("plan.trace_reuse")
-                result, report = self._replay(spec, captured)
-                if report is not None:
-                    self._store_cached_insight(spec, report)
-                    self._insights[spec] = report
-                self._store_cached_run(spec, result)
-                self._results[spec] = result
+        # re-deriving the per-trace work for every config. The group
+        # owns its prep: it is freed on return, so a long sweep holds
+        # one group's precompute at a time, not every trace's.
+        captured = self.captured_run(specs[0])
+        tel.count("plan.sweep_groups")
+        prep = ReplayPrep(captured.trace)
+        prepare_sweep(
+            captured,
+            [spec.config for spec in specs],
+            kernel=self.kernel,
+            telemetry=tel,
+            prep=prep,
+        )
+        for i, spec in enumerate(specs):
+            if i:
+                tel.count("plan.trace_reuse")
+            result, report = self._replay(spec, captured, prep)
+            if report is not None:
+                self._store_cached_insight(spec, report)
+                self._insights[spec] = report
+            self._store_cached_run(spec, result)
+            self._results[spec] = result
 
     def _execute_pool(self, missing: list[RunSpec], tel: Telemetry) -> None:
         # Compile and capture serially up front: one functional

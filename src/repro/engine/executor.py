@@ -43,6 +43,7 @@ from repro.isa.program import BlockProgram, ConventionalProgram
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.sim.run import (
     CapturedRun,
+    ReplayPrep,
     SimResult,
     capture_run,
     prepare_sweep,
@@ -116,7 +117,8 @@ def execute_group(
     it). Runs the shared sweep precompute once, then replays the
     shipped packed trace under every spec's machine config; returns the
     per-spec ``(result, report)`` payloads in *specs* order plus one
-    telemetry snapshot when *capture_telemetry* is set."""
+    telemetry snapshot when *capture_telemetry* is set. The group's
+    replay prep lives only for this call."""
     collectors = [
         InsightCollector() if collect_insight else None for _ in specs
     ]
@@ -136,13 +138,14 @@ def execute_group(
             payloads.append((result, report))
         return payloads, None
     tel = Telemetry(trace_capacity=WORKER_TRACE_CAPACITY)
-    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel)
+    prep = ReplayPrep(captured.trace)
+    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel, prep=prep)
     payloads = []
     for spec, collector in zip(specs, collectors):
         with tel.span("plan.run", **spec.labels()):
             result = replay_captured(
                 captured, spec.config, tel,
-                insight=collector, kernel=kernel,
+                insight=collector, kernel=kernel, prep=prep,
             )
         report = None
         if collector is not None:

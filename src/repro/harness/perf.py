@@ -56,6 +56,7 @@ from repro.sim import vector
 from repro.sim.config import MachineConfig
 from repro.sim.packed import PackedTrace
 from repro.sim.run import (
+    ReplayPrep,
     capture_run,
     replay_captured,
     replay_sweep,
@@ -123,13 +124,16 @@ def benchmark_one(
         }
         fallbacks = vector.FALLBACKS
         if time_vector:
-            # Warm-up replay (untimed): builds the kernel's cached prep
-            # columns and runs the timing spine, so the timed replay
-            # below is a warm one (docs/performance.md).
-            replay_captured(captured, config, kernel="numpy")
+            # Warm-up replay (untimed): fills the kernel's prep and runs
+            # the timing spine, so the timed replay below, handed the
+            # same prep, is a warm one (docs/performance.md).
+            prep = ReplayPrep(captured.trace)
+            replay_captured(captured, config, kernel="numpy", prep=prep)
             vectored, vector_s = _timed(
                 tel, "perf.vector",
-                lambda: replay_captured(captured, config, kernel="numpy"),
+                lambda: replay_captured(
+                    captured, config, kernel="numpy", prep=prep
+                ),
                 **labels
             )
             entry["vector_s"] = vector_s

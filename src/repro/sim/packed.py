@@ -97,7 +97,7 @@ def _native(arr: array) -> array:
 class PackedTrace:
     """One captured fetch-unit stream as flat columns."""
 
-    __slots__ = tuple(name for name, _ in _COLUMNS) + ("_spans", "_vprep")
+    __slots__ = tuple(name for name, _ in _COLUMNS) + ("_spans",)
 
     def __init__(
         self,
@@ -126,9 +126,6 @@ class PackedTrace:
         self.deps = deps
         #: line_bytes -> (first_line array, last_line array)
         self._spans: dict[int, tuple[array, array]] = {}
-        #: repro.sim.vector's per-trace prep cache (column decodings and
-        #: per-geometry cache-outcome vectors); same lifecycle as _spans
-        self._vprep: dict = {}
 
     # -- construction --------------------------------------------------
 
@@ -358,7 +355,6 @@ class PackedTrace:
         for name, _ in _COLUMNS:
             setattr(self, name, getattr(other, name))
         self._spans = {}
-        self._vprep = {}
 
     # -- comparison / debugging ----------------------------------------
 

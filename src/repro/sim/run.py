@@ -37,6 +37,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.engine import TimingEngine, TimingStats
 from repro.sim.packed import PackedTrace
 from repro.sim.predictors import BlockPredictor, GsharePredictor
+from repro.sim.vector import ReplayPrep
 
 #: Replay kernel names accepted by :func:`replay_captured` (and the
 #: CLI's ``--kernel``). ``auto`` uses the vectorized kernel when numpy
@@ -344,30 +345,36 @@ def prepare_sweep(
     configs,
     kernel: str = "auto",
     telemetry: Telemetry | None = None,
+    prep: ReplayPrep | None = None,
 ) -> int:
     """Shared precompute for replaying *captured* under every *config*.
 
-    On the vectorized kernel this primes the trace's ``_vprep`` cache
-    with one Mattson stack-distance traversal per
-    ``(line_bytes, num_sets)`` geometry group — covering every
-    associativity in the group — plus the config-independent column
-    decodings, so the subsequent per-config replays only pay vectorized
+    On the vectorized kernel this fills *prep* — the caller's
+    :class:`~repro.sim.vector.ReplayPrep` for ``captured.trace``, handed
+    to each of the sweep's :func:`replay_captured` calls and dropped
+    when the sweep ends — with one Mattson stack-distance traversal per
+    ``(line_bytes, num_sets)`` geometry group (covering every
+    associativity in the group) plus the config-independent column
+    decodings, so the per-config replays only pay vectorized
     comparisons and the timing spine. It only precomputes: each config
-    replays through the same exact spine whether or not the trace was
-    primed. On the ``python`` kernel (or when numpy is absent) it is a
+    replays through the same exact spine whether or not the prep was
+    filled. On the ``python`` kernel (or when numpy is absent) it is a
     no-op: the batch degrades to grouped scalar replay, still
-    bit-identical, just without the shared work.
+    bit-identical, just without the shared work. A prep built for
+    another trace raises :class:`SimulationError`.
 
     Counts ``sweep.configs_batched`` on *telemetry* and returns the
     number of geometry groups traversed (0 on the scalar path).
     """
     kern = _validate_kernel(kernel)
+    if prep is not None:
+        prep.check(captured.trace)
     configs = list(configs)
     tel = telemetry if telemetry is not None else get_telemetry()
     tel.count("sweep.configs_batched", len(configs))
     if kern == "python" or not vector.HAVE_NUMPY:
         return 0
-    return vector.prepare_sweep(captured.trace, configs)
+    return vector.prepare_sweep(captured.trace, configs, prep)
 
 
 def replay_sweep(
@@ -382,10 +389,11 @@ def replay_sweep(
     The sweep entry point (docs/performance.md): one
     :func:`prepare_sweep` pass amortizes the trace precompute and the
     multi-geometry icache/dcache vectors across the whole config list,
-    then each config replays through :func:`replay_captured` unchanged —
-    so every returned :class:`SimResult` is bit-identical
-    (``dataclasses.asdict`` equality, insight reports included) to a
-    one-at-a-time replay of the same config.
+    in one :class:`~repro.sim.vector.ReplayPrep` that lives only for
+    this call; then each config replays through :func:`replay_captured`
+    with that prep — so every returned :class:`SimResult` is
+    bit-identical (``dataclasses.asdict`` equality, insight reports
+    included) to a one-at-a-time replay of the same config.
 
     *insights*, when given, is a sequence aligned with *configs*; each
     non-``None`` entry is an :class:`~repro.insight.InsightCollector`
@@ -400,9 +408,12 @@ def replay_sweep(
             f"{len(configs)} configs"
         )
     tel = telemetry if telemetry is not None else get_telemetry()
-    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel)
+    prep = ReplayPrep(captured.trace)
+    prepare_sweep(captured, configs, kernel=kernel, telemetry=tel, prep=prep)
     return [
-        replay_captured(captured, config, tel, insight=ins, kernel=kernel)
+        replay_captured(
+            captured, config, tel, insight=ins, kernel=kernel, prep=prep
+        )
         for config, ins in zip(configs, insights)
     ]
 
@@ -413,6 +424,7 @@ def replay_captured(
     telemetry: Telemetry | None = None,
     insight=None,
     kernel: str = "auto",
+    prep: ReplayPrep | None = None,
 ) -> SimResult:
     """Replay a captured run under *config*; bit-identical to a fresh
     capture and replay (:func:`simulate_streaming`) for any config
@@ -424,9 +436,16 @@ def replay_captured(
     the vectorized column kernel (:mod:`repro.sim.vector`) and the
     scalar :meth:`~repro.sim.engine.TimingEngine.run_packed` loop
     produce bit-identical results — all integer fields, no tolerance —
-    so the choice only affects speed (docs/performance.md)."""
+    so the choice only affects speed (docs/performance.md).
+
+    *prep* is the vector kernel's precompute for ``captured.trace``,
+    shared by the replays of one sweep (see :func:`prepare_sweep`); a
+    prep built for another trace raises :class:`SimulationError`.
+    Without one, the kernel builds a throwaway prep for this replay."""
     config = config or MachineConfig()
     kern = _validate_kernel(kernel)
+    if prep is not None:
+        prep.check(captured.trace)
     tel = telemetry if telemetry is not None else get_telemetry()
     atomic = captured.isa == "block"
     engine = TimingEngine(
@@ -435,7 +454,9 @@ def replay_captured(
     with tel.span("sim.simulate", benchmark=captured.name, isa=captured.isa):
         timing = None
         if kern != "python":
-            timing = vector.replay_packed_vector(engine, captured.trace)
+            timing = vector.replay_packed_vector(
+                engine, captured.trace, prep
+            )
         if timing is None:
             timing = engine.run_packed(captured.trace)
     build = _block_result if atomic else _conventional_result

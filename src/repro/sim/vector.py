@@ -12,7 +12,7 @@ not approximate (enforced by differential tests against ``run_packed``).
 The replay splits into two halves:
 
 * **timing-independent precompute**, vectorized over whole columns and
-  cached on the trace (``PackedTrace._vprep``): dependence columns
+  held in a :class:`ReplayPrep` that the sweep owns: dependence columns
   decoded once into per-op tuples, :func:`span_lines` expands the
   icache line spans into the flat access stream, hit/miss outcomes per
   cache geometry come from saturating :func:`stack_distances` (cache
@@ -29,10 +29,17 @@ The replay splits into two halves:
   models on every run, so there is no optimistic pass to prove and no
   re-run when an assumption fails.
 
-The spine's result is memoized on the trace under a content key — the
+The spine's result is memoized in the prep under a content key — the
 config fields it reads plus the content keys of its fetch and latency
 preps — so sweep geometries whose per-unit miss vectors coincide share
-one spine run.
+one spine run. A memo entry (:class:`SpineRun`) keeps the scalars, the
+per-unit lists only when insight or events read them, and the per-op
+completion list only when events are emitted.
+
+The prep lives as long as its owner keeps it: the experiment engine, a
+pool worker and :func:`repro.sim.run.replay_sweep` each hold one per
+trace group and drop it when the group ends; a replay handed none
+builds a throwaway one. Nothing is cached on the trace itself.
 
 Shapes the kernel does not model (malformed resolve indices, mixed
 atomic/non-atomic block streams, conventional streams with atomic,
@@ -51,7 +58,9 @@ docs/performance.md).
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
+from repro.errors import SimulationError
 from repro.obs.events import (
     EV_FAULT_SQUASH,
     EV_FETCH,
@@ -193,15 +202,67 @@ def lru_hits_listwise(lines, num_sets, assoc):
 
 
 # ---------------------------------------------------------------------------
-# Per-trace / per-geometry precompute (cached on the trace)
+# Per-trace / per-geometry precompute (held by the sweep's ReplayPrep)
 # ---------------------------------------------------------------------------
 
 
-def _base_prep(trace: PackedTrace) -> dict:
-    """Config-independent column decodings, cached on the trace."""
-    prep = trace._vprep.get("base")
+class ReplayPrep:
+    """The kernel's precompute for one trace, owned by one sweep.
+
+    ``memo`` holds the config-independent column decodings, the
+    per-geometry cache-outcome vectors and the fetch/latency preps;
+    ``runs`` is the content-keyed spine memo of :class:`SpineRun`
+    entries. The prep is bound to the trace it was built for: handing
+    it to a replay of any other trace raises :class:`SimulationError`,
+    so a memo can never answer for the wrong trace.
+    """
+
+    __slots__ = ("trace", "memo", "runs")
+
+    def __init__(self, trace: PackedTrace):
+        self.trace = trace
+        self.memo: dict = {}
+        self.runs: dict = {}
+
+    def check(self, trace: PackedTrace) -> "ReplayPrep":
+        """This prep, if it was built for *trace*; raises otherwise."""
+        if trace is not self.trace:
+            raise SimulationError(
+                "replay prep was built for another trace; build one "
+                "ReplayPrep per trace"
+            )
+        return self
+
+
+def _bound(prep: ReplayPrep | None, trace: PackedTrace) -> ReplayPrep:
+    """*prep* checked against *trace*, or a throwaway prep for it."""
+    return ReplayPrep(trace) if prep is None else prep.check(trace)
+
+
+class SpineRun(NamedTuple):
+    """One memoized spine result: only what a later replay reads.
+
+    ``completes`` (per op) and ``unit_retire_l`` (per unit) are kept
+    only when events are emitted; ``gap_l``/``wd_l`` (per unit) only
+    when insight or events read them. Otherwise they are ``None``.
+    """
+
+    completes: list | None
+    unit_retire_l: list | None
+    wstall: int
+    rstall: int
+    next_fetch: int
+    max_cycle: int
+    gap_l: list | None
+    wd_l: list | None
+
+
+def _base_prep(rp: ReplayPrep) -> dict:
+    """Config-independent column decodings, cached in *rp*."""
+    prep = rp.memo.get("base")
     if prep is not None:
         return prep
+    trace = rp.trace
     n = trace.num_ops
     uos = _np.frombuffer(trace.unit_op_start, dtype=_np.int64)
     uflags = _np.frombuffer(trace.unit_flags, dtype=_np.uint8)
@@ -261,12 +322,12 @@ def _base_prep(trace: PackedTrace) -> dict:
         "redirects": int((squashed | mispredict).sum()),
         "squashed_ops": int(nops[squashed].sum()),
     }
-    trace._vprep["base"] = prep
+    rp.memo["base"] = prep
     return prep
 
 
-def _geom_distances(trace, kind, lines, line_bytes, num_sets, assoc):
-    """Saturating stack distances for one access stream, cached on the trace.
+def _geom_distances(rp, kind, lines, line_bytes, num_sets, assoc):
+    """Saturating stack distances for one access stream, cached in *rp*.
 
     Keyed by ``(kind, line_bytes, num_sets)`` only — NOT by
     associativity — because a distance vector saturated at cap ``C``
@@ -285,9 +346,9 @@ def _geom_distances(trace, kind, lines, line_bytes, num_sets, assoc):
     associativity recomputes via the move-to-front walk.
     """
     key = (kind, line_bytes, num_sets)
-    cached = trace._vprep.get(key)
+    cached = rp.memo.get(key)
     if cached is None or cached[1] < assoc or cached[2] > assoc:
-        idx, sub, n, sub_arr = _dedup_stream(trace, kind, lines, line_bytes)
+        idx, sub, n, sub_arr = _dedup_stream(rp, kind, lines, line_bytes)
         cap = int(assoc)
         dist = _np.zeros(n, dtype=_np.int64)
         floor = 0
@@ -307,17 +368,17 @@ def _geom_distances(trace, kind, lines, line_bytes, num_sets, assoc):
                 floor = 0
                 dist[idx] = _mtf_distances(sub, num_sets, cap)
         cached = (dist, cap, floor)
-        trace._vprep[key] = cached
+        rp.memo[key] = cached
     return cached[0]
 
 
-def _dedup_stream(trace, kind, lines, line_bytes):
-    """Consecutive-duplicate dedup of one access stream, cached on the
-    trace. Duplicates always hit at stack depth 0 whatever the set
+def _dedup_stream(rp, kind, lines, line_bytes):
+    """Consecutive-duplicate dedup of one access stream, cached in
+    *rp*. Duplicates always hit at stack depth 0 whatever the set
     count, so only the deduplicated stream needs the move-to-front
     walk — and every set count in a sweep shares this one dedup."""
     key = (kind, line_bytes, "dedup")
-    cached = trace._vprep.get(key)
+    cached = rp.memo.get(key)
     if cached is None:
         lines = _np.asarray(lines, dtype=_np.int64)
         n = len(lines)
@@ -330,36 +391,36 @@ def _dedup_stream(trace, kind, lines, line_bytes):
             idx = _np.flatnonzero(keep)
             sub_arr = lines[idx]
             cached = (idx, sub_arr.tolist(), n, sub_arr)
-        trace._vprep[key] = cached
+        rp.memo[key] = cached
     return cached
 
 
-def _icache_spans(trace, line_bytes):
+def _icache_spans(rp, line_bytes):
     """Per-unit first/last line spans, shared by every icache geometry."""
     key = ("icspan", line_bytes)
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
-        first, last = trace.line_spans(line_bytes)
+        first, last = rp.trace.line_spans(line_bytes)
         first = _np.frombuffer(first, dtype=_np.int64)
         last = _np.frombuffer(last, dtype=_np.int64)
         nlines = last - first + 1
         prep = (first, last, nlines, int(nlines.sum()))
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     return prep
 
 
-def _icache_flat(trace, line_bytes):
+def _icache_flat(rp, line_bytes):
     """Flat line-access stream + span starts, shared across geometries."""
     key = ("icflat", line_bytes)
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
-        first, last, _, _ = _icache_spans(trace, line_bytes)
+        first, last, _, _ = _icache_spans(rp, line_bytes)
         prep = span_lines(first, last)
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     return prep
 
 
-def _icache_prep(trace, cache, line_bytes, want_flat):
+def _icache_prep(rp, cache, line_bytes, want_flat):
     """Per-unit icache access counts and miss outcomes for a geometry."""
     perfect = isinstance(cache, PerfectCache)
     key = (
@@ -367,9 +428,9 @@ def _icache_prep(trace, cache, line_bytes, want_flat):
         if perfect
         else ("ic", line_bytes, cache.num_sets, cache.config.assoc)
     )
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
-        first, last, nlines, accesses = _icache_spans(trace, line_bytes)
+        first, last, nlines, accesses = _icache_spans(rp, line_bytes)
         prep = {
             "first": first,
             "last": last,
@@ -380,10 +441,10 @@ def _icache_prep(trace, cache, line_bytes, want_flat):
             prep["unit_miss"] = _np.zeros(len(nlines), dtype=_np.int64)
             prep["misses"] = 0
         else:
-            flat, starts = _icache_flat(trace, line_bytes)
+            flat, starts = _icache_flat(rp, line_bytes)
             assoc = cache.config.assoc
             dist = _geom_distances(
-                trace, "icdist", flat, line_bytes, cache.num_sets, assoc
+                rp, "icdist", flat, line_bytes, cache.num_sets, assoc
             )
             miss = dist >= assoc
             prep["flat"] = flat
@@ -398,16 +459,16 @@ def _icache_prep(trace, cache, line_bytes, want_flat):
         # Content key for fetch-prep / spine sharing across geometries
         # with identical per-unit miss counts (see _fetch_prep).
         prep["miss_key"] = prep["unit_miss"].tobytes()
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     if want_flat and "flat" not in prep:
-        flat, starts = _icache_flat(trace, line_bytes)
+        flat, starts = _icache_flat(rp, line_bytes)
         prep["flat"] = flat
         prep["starts"] = starts
         prep["miss_flags"] = _np.zeros(len(flat), dtype=bool)
     return prep
 
 
-def _dcache_prep(trace, base, cache, line_bytes):
+def _dcache_prep(rp, base, cache, line_bytes):
     """Dcache miss outcomes (and which loads miss) for one geometry."""
     perfect = isinstance(cache, PerfectCache)
     key = (
@@ -415,7 +476,7 @@ def _dcache_prep(trace, base, cache, line_bytes):
         if perfect
         else ("dc", line_bytes, cache.num_sets, cache.config.assoc)
     )
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
         if perfect:
             prep = {"misses": 0, "miss_load_idx": ()}
@@ -423,10 +484,10 @@ def _dcache_prep(trace, base, cache, line_bytes):
             dlines = base["dmem"] // line_bytes
             assoc = cache.config.assoc
             dist = _geom_distances(
-                trace, "dcdist", dlines, line_bytes, cache.num_sets, assoc
+                rp, "dcdist", dlines, line_bytes, cache.num_sets, assoc
             )
             miss = dist >= assoc
-            miss_load = _np.zeros(trace.num_ops, dtype=bool)
+            miss_load = _np.zeros(rp.trace.num_ops, dtype=bool)
             miss_load[base["dmask"]] = miss & base["dload"]
             prep = {
                 "misses": int(miss.sum()),
@@ -434,30 +495,34 @@ def _dcache_prep(trace, base, cache, line_bytes):
                     int(i) for i in _np.flatnonzero(miss_load)
                 ),
             }
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     return prep
 
 
-def prepare_sweep(trace: PackedTrace, configs) -> int:
+def prepare_sweep(
+    trace: PackedTrace, configs, prep: ReplayPrep | None = None
+) -> int:
     """One-pass multi-geometry precompute for a config sweep.
 
     Groups the sweep's icache and dcache geometries by
     ``(line_bytes, num_sets)`` and runs ONE saturating stack-distance
-    traversal per group at the group's maximum associativity, priming
-    ``trace._vprep`` so every subsequent :func:`replay_packed_vector`
-    call derives its hit/miss vectors by a vectorized comparison instead
-    of re-walking the access stream. Also primes the shared
+    traversal per group at the group's maximum associativity, filling
+    *prep* (the caller's :class:`ReplayPrep` for *trace*) so every
+    subsequent :func:`replay_packed_vector` call handed the same prep
+    derives its hit/miss vectors by a vectorized comparison instead of
+    re-walking the access stream. Also fills the shared
     config-independent preps (base columns, line spans).
 
-    It only precomputes: a primed trace replays through the same spine
+    It only precomputes: a filled prep replays through the same spine
     as a cold one, so the results cannot depend on whether it ran.
 
     Returns the number of geometry groups traversed (0 when numpy is
     unavailable — the scalar fallback has no shared precompute).
     """
+    rp = _bound(prep, trace)
     if _np is None:
         return 0
-    base = _base_prep(trace)
+    base = _base_prep(rp)
     ic_groups: dict = {}
     dc_groups: dict = {}
     for config in configs:
@@ -470,15 +535,15 @@ def prepare_sweep(trace: PackedTrace, configs) -> int:
             k = (dc.line_bytes, dc.num_sets)
             dc_groups[k] = max(dc_groups.get(k, 0), dc.assoc)
     for (line_bytes, num_sets), assoc in ic_groups.items():
-        flat, _ = _icache_flat(trace, line_bytes)
-        _geom_distances(trace, "icdist", flat, line_bytes, num_sets, assoc)
+        flat, _ = _icache_flat(rp, line_bytes)
+        _geom_distances(rp, "icdist", flat, line_bytes, num_sets, assoc)
     for (line_bytes, num_sets), assoc in dc_groups.items():
         dlines = base["dmem"] // line_bytes
-        _geom_distances(trace, "dcdist", dlines, line_bytes, num_sets, assoc)
+        _geom_distances(rp, "dcdist", dlines, line_bytes, num_sets, assoc)
     return len(ic_groups) + len(dc_groups)
 
 
-def _fetch_prep(trace, ic, line_bytes, l2, fetch_lines):
+def _fetch_prep(rp, ic, line_bytes, l2, fetch_lines):
     """Per-unit fetch-cycle counts and stalls for (geometry, l2, width).
 
     Keyed by the geometry's per-unit miss *content* — not its identity —
@@ -490,7 +555,7 @@ def _fetch_prep(trace, ic, line_bytes, l2, fetch_lines):
     replay timing, by construction.
     """
     key = ("fetch", line_bytes, l2, fetch_lines, ic["miss_key"])
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
         nlines = ic["nlines"]
         fc = (nlines + fetch_lines - 1) // fetch_lines
@@ -503,14 +568,14 @@ def _fetch_prep(trace, ic, line_bytes, l2, fetch_lines):
             "adv_l": adv.tolist(),
             "fetch_stall": int(stall.sum() + (fc - 1).sum()),
         }
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     return prep
 
 
-def _lat_prep(trace, base, dc, l2):
+def _lat_prep(rp, base, dc, l2):
     """Spine op tuples with dcache-miss l2 folded into the latencies."""
     key = ("lat", l2, dc["miss_load_idx"])
-    prep = trace._vprep.get(key)
+    prep = rp.memo.get(key)
     if prep is None:
         ops = base["ops"]
         if dc["miss_load_idx"]:
@@ -519,13 +584,17 @@ def _lat_prep(trace, base, dc, l2):
                 p1, p2, p3, lt = ops[i]
                 ops[i] = (p1, p2, p3, lt + l2)
         prep = {"key": key, "ops": ops}
-        trace._vprep[key] = prep
+        rp.memo[key] = prep
     return prep
 
 
 # ---------------------------------------------------------------------------
 # The replay kernel
 # ---------------------------------------------------------------------------
+
+
+#: the ``isa`` label of the spine counters, by ``engine.atomic_window``
+_ISA = {False: "conventional", True: "block"}
 
 
 def _decline(tel, reason):
@@ -536,8 +605,15 @@ def _decline(tel, reason):
     return None
 
 
-def replay_packed_vector(engine, trace: PackedTrace):
+def replay_packed_vector(
+    engine, trace: PackedTrace, prep: ReplayPrep | None = None
+):
     """Replay *trace* on *engine* at column speed.
+
+    *prep* is the caller's :class:`ReplayPrep` for *trace*, shared
+    across a sweep's replays (a prep built for another trace raises
+    :class:`SimulationError`); without one the replay builds a
+    throwaway prep.
 
     On success: fills ``engine.stats``, mirrors cache counters onto
     ``engine.icache``/``engine.dcache``, feeds the engine's insight
@@ -549,6 +625,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
     ``bad_resolve``, ``mixed_atomic`` or ``conventional_shape``.
     """
     global KERNEL_RUNS
+    rp = _bound(prep, trace)
     tel = engine.telemetry if engine.telemetry is not None else get_telemetry()
     if _np is None:
         return _decline(tel, "no_numpy")
@@ -568,7 +645,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
         tel.count("sim.kernel_runs")
         return stats
 
-    base = _base_prep(trace)
+    base = _base_prep(rp)
     squashed = base["squashed"]
     mispredict = base["mispredict"]
     atomic = base["atomic"]
@@ -596,26 +673,33 @@ def replay_packed_vector(engine, trace: PackedTrace):
         config.dcache.line_bytes if config.dcache is not None else 64
     )
     l2 = config.l2_latency
-    ic = _icache_prep(trace, engine.icache, line_bytes, events is not None)
-    dc = _dcache_prep(trace, base, engine.dcache, dline_bytes)
-    fetch = _fetch_prep(trace, ic, line_bytes, l2, config.fetch_lines)
-    lat = _lat_prep(trace, base, dc, l2)
+    need_events = events is not None
+    need_aux = need_events or ins is not None
+    ic = _icache_prep(rp, engine.icache, line_bytes, need_events)
+    dc = _dcache_prep(rp, base, engine.dcache, dline_bytes)
+    fetch = _fetch_prep(rp, ic, line_bytes, l2, config.fetch_lines)
+    lat = _lat_prep(rp, base, dc, l2)
 
-    need_aux = events is not None or ins is not None
     # Spine memo: the config fields the spine reads plus the content
     # keys of the fetch/lat preps (per-unit miss bytes, dcache miss-load
     # indices), so sweep geometries whose miss vectors coincide share
     # one spine run outright.
     run_key = (
-        "vrun", atomic_window, need_aux,
+        atomic_window, need_aux, need_events,
         config.fu_count, config.window_ops, config.window_blocks,
         config.retire_width, config.frontend_depth,
         config.mispredict_penalty, fetch["key"], lat["key"],
     )
-    run = base.get(run_key)
+    run = rp.runs.get(run_key)
     if run is None:
         spine = _block_pass if atomic_window else _conv_window_pass
-        run = base[run_key] = spine(base, fetch, lat, config, need_aux)
+        run = rp.runs[run_key] = spine(
+            base, fetch, lat, config, need_aux, need_events
+        )
+        if tel.enabled:
+            tel.count("sim.spine_runs", isa=_ISA[atomic_window])
+    elif tel.enabled:
+        tel.count("sim.spine_memo_hits", isa=_ISA[atomic_window])
     (completes, unit_retire_l, wstall, rstall, next_fetch, max_cycle,
      gap_l, wd_l) = run
 
@@ -651,7 +735,7 @@ def replay_packed_vector(engine, trace: PackedTrace):
             unit(gap_l[u], fc_l[u], stall_l[u], nops_l[u], wd_l[u],
                  sq_l[u], mis_l[u])
         ins.finish(stats.cycles, next_fetch)
-    if events is not None:
+    if need_events:
         _emit_events(
             config, trace, base, ic, fetch, completes, unit_retire_l,
             gap_l, events, unit0,
@@ -666,14 +750,13 @@ def replay_packed_vector(engine, trace: PackedTrace):
 # ---------------------------------------------------------------------------
 
 
-def _conv_window_pass(base, fetch, lat, config, need_aux):
+def _conv_window_pass(base, fetch, lat, config, need_aux, need_events):
     """Exact serial conventional spine: op-window slots, the
     unit-checkpoint window, the FU busy table and in-order retirement
     carried inline.
 
-    Returns ``(completes, unit_retire_l, wstall, rstall, next_fetch,
-    max_cycle, gap_l, wd_l)``; ``gap_l``/``wd_l`` are ``None`` unless
-    *need_aux*.
+    Returns a :class:`SpineRun`; ``gap_l``/``wd_l`` are ``None`` unless
+    *need_aux*, ``completes``/``unit_retire_l`` unless *need_events*.
     """
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
@@ -780,9 +863,11 @@ def _conv_window_pass(base, fetch, lat, config, need_aux):
         if need_aux:
             wd_l[u] = d - fe - depth
         ur_append(rc)
-    max_cycle = max(rc, nf - 1)
-    return (c, unit_release[cap_units:], wstall, rstall, nf, max_cycle,
-            gap_l, wd_l)
+    return SpineRun(
+        c if need_events else None,
+        unit_release[cap_units:] if need_events else None,
+        wstall, rstall, nf, max(rc, nf - 1), gap_l, wd_l,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,10 +875,10 @@ def _conv_window_pass(base, fetch, lat, config, need_aux):
 # ---------------------------------------------------------------------------
 
 
-def _block_pass(base, fetch, lat, config, need_aux):
+def _block_pass(base, fetch, lat, config, need_aux, need_events):
     """Exact serial block-structured spine: a real (tiny) release heap
     per unit, the FU busy table and O(1) closed-form block retirement.
-    Returns the same tuple shape as :func:`_conv_window_pass`."""
+    Returns a :class:`SpineRun` like :func:`_conv_window_pass`."""
     uos_l = base["uos_l"]
     adv_l = fetch["adv_l"]
     sq_l = base["sq_l"]
@@ -827,7 +912,7 @@ def _block_pass(base, fetch, lat, config, need_aux):
     lnf = 0  # next_fetch after the last non-squashed unit
     rstall = 0
     wstall = 0
-    rc_l = [0] * nu if need_aux else None
+    rc_l = [0] * nu if need_events else None
     gap_l = [0] * nu if need_aux else None
     wd_l = [0] * nu if need_aux else None
     for u in range(nu):
@@ -897,7 +982,7 @@ def _block_pass(base, fetch, lat, config, need_aux):
             hpush(window, release)
             if release > maxrel:
                 maxrel = release
-            if need_aux:
+            if need_events:
                 rc_l[u] = rc
             continue
         if mis_l[u]:
@@ -923,14 +1008,17 @@ def _block_pass(base, fetch, lat, config, need_aux):
                     rcnt = k2 - width * q
         hpush(window, rc)
         lnf = nf
-        if need_aux:
+        if need_events:
             rc_l[u] = rc
     max_cycle = rc
     if maxrel > max_cycle:
         max_cycle = maxrel
     if lnf - 1 > max_cycle:
         max_cycle = lnf - 1
-    return (c, rc_l, wstall, rstall, nf, max_cycle, gap_l, wd_l)
+    return SpineRun(
+        c if need_events else None, rc_l,
+        wstall, rstall, nf, max_cycle, gap_l, wd_l,
+    )
 
 
 # ---------------------------------------------------------------------------

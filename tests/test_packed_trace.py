@@ -188,12 +188,12 @@ def _header_size() -> int:
 
 def published_series(tel: Telemetry) -> tuple[list, dict]:
     """A session's sim./cache./bp. series, less the vector kernel's
-    bookkeeping counters (``sim.kernel_*``), and those counters' totals
-    by name."""
+    bookkeeping counters (``sim.kernel_*``, ``sim.spine_*``), and those
+    counters' totals by name."""
     snapshot = tel.metrics.snapshot()
     kernel = {}
     for e in snapshot:
-        if e["name"].startswith("sim.kernel_"):
+        if e["name"].startswith(("sim.kernel_", "sim.spine_")):
             kernel[e["name"]] = kernel.get(e["name"], 0) + e["value"]
     series = [
         e
@@ -256,7 +256,7 @@ class TestBitIdentity:
         # Only the default kernel's own bookkeeping differs: it serves
         # the replay, or declines it when numpy is absent.
         assert replay_kernel == (
-            {"sim.kernel_runs": 1}
+            {"sim.kernel_runs": 1, "sim.spine_runs": 1}
             if vector.HAVE_NUMPY
             else {"sim.kernel_fallbacks": 1}
         )

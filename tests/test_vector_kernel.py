@@ -32,6 +32,7 @@ from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.packed import PackedTrace
 from repro.sim.run import (
     VALID_KERNELS,
+    ReplayPrep,
     capture_run,
     predictor_key,
     prepare_sweep,
@@ -149,7 +150,7 @@ class TestThreeWayDifferential:
         numpy_series, numpy_kernel = series("numpy")
         python_series, python_kernel = series("python")
         assert numpy_series == python_series
-        assert numpy_kernel == {"sim.kernel_runs": 1}
+        assert numpy_kernel == {"sim.kernel_runs": 1, "sim.spine_runs": 1}
         assert python_kernel == {}
 
     def test_kernel_actually_ran(self):
@@ -286,6 +287,74 @@ class TestKernelSelection:
             assert doc["totals"]["stats_match"] is True
 
 
+class TestReplayPrep:
+    """The kernel's precompute is owned by the caller's sweep and bound
+    to the trace it was built for."""
+
+    @pytest.mark.parametrize("kernel", VALID_KERNELS)
+    def test_prep_of_another_trace_is_rejected(self, kernel):
+        if kernel == "numpy" and not vector.HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        config = MachineConfig()
+        a = capture_run(
+            _pair("compress").conventional, "conventional", config
+        )
+        b = capture_run(_pair("compress").block, "block", config)
+        prep = ReplayPrep(a.trace)
+        replay_captured(a, config, kernel=kernel, prep=prep)
+        with pytest.raises(SimulationError, match="another trace"):
+            replay_captured(b, config, kernel=kernel, prep=prep)
+        with pytest.raises(SimulationError, match="another trace"):
+            prepare_sweep(b, [config], kernel=kernel, prep=prep)
+        # an equal but distinct trace object is another trace too
+        copy = dataclasses.replace(
+            a, trace=PackedTrace.from_bytes(a.trace.to_bytes())
+        )
+        with pytest.raises(SimulationError, match="another trace"):
+            replay_captured(copy, config, kernel=kernel, prep=prep)
+
+    @needs_numpy
+    def test_spine_counters_pin_an_icache_sweep(self):
+        """sim.spine_runs / sim.spine_memo_hits count every kernel
+        replay once, per ISA: on compress, the perfect icache runs its
+        own spine, and the 32 and 64 KB icaches miss exactly like the
+        16 KB one per unit, so they reuse its run."""
+        config = MachineConfig()
+        configs = [config.with_icache_kb(None)] + [
+            config.with_icache_kb(kb) for kb in (16, 32, 64)
+        ]
+        tel = Telemetry()
+        for isa in ("conventional", "block"):
+            program = getattr(_pair("compress"), isa)
+            captured = capture_run(program, isa, config)
+            replay_sweep(captured, configs, telemetry=tel, kernel="numpy")
+        for isa in ("conventional", "block"):
+            assert tel.metrics.get("sim.spine_runs", isa=isa) == 2
+            assert tel.metrics.get("sim.spine_memo_hits", isa=isa) == 2
+
+    @needs_numpy
+    def test_spine_counters_skip_disabled_telemetry(self, monkeypatch):
+        """With telemetry off the spine counters are not even handed to
+        Telemetry.count: the disabled fast path pays one flag test."""
+        config = MachineConfig()
+        captured = capture_run(
+            _pair("compress").conventional, "conventional", config
+        )
+        counted = []
+        monkeypatch.setattr(
+            Telemetry, "count",
+            lambda self, name, *args, **labels: counted.append(name),
+        )
+        prep = ReplayPrep(captured.trace)
+        for _ in range(2):
+            replay_captured(
+                captured, config, Telemetry(enabled=False),
+                kernel="numpy", prep=prep,
+            )
+        assert len(prep.runs) == 1  # the second replay was a memo hit
+        assert counted == ["sim.kernel_runs"] * 2
+
+
 # ---------------------------------------------------------------------------
 # Property tests: kernel primitives vs small scalar references
 # ---------------------------------------------------------------------------
@@ -391,17 +460,15 @@ class TestStackDistances:
     def test_cached_geometry_vector_is_query_order_independent(
         self, lines, num_sets, assocs
     ):
-        """_geom_distances' per-trace cache (cap widening plus the
+        """_geom_distances' per-prep cache (cap widening plus the
         floor-guarded synthesized never-evict vectors) must classify
         exactly like the oracle for every queried associativity, in any
         query order."""
-        import types
-
-        fake = types.SimpleNamespace(_vprep={})
+        prep = vector.ReplayPrep(PackedTrace.empty())
         arr = np.array(lines, dtype=np.int64)
         for assoc in assocs:
             dist = vector._geom_distances(
-                fake, "icdist", arr, 64, num_sets, assoc
+                prep, "icdist", arr, 64, num_sets, assoc
             )
             want = vector.lru_hits_listwise(lines, num_sets, assoc)
             assert (dist < assoc).tolist() == want.tolist(), assoc
@@ -500,10 +567,9 @@ class TestSweepBatchedReplay:
             config.with_icache_kb(64),
             config.with_icache_kb(None),
         ]
+        prep = vector.ReplayPrep(captured.trace)
         keys = [
-            vector._icache_prep(
-                captured.trace, Cache(c.icache), 64, False
-            )["miss_key"]
+            vector._icache_prep(prep, Cache(c.icache), 64, False)["miss_key"]
             for c in configs[:2]
         ]
         assert keys[0] == keys[1]  # the premise: same per-unit misses
@@ -541,9 +607,10 @@ class TestSweepBatchedReplay:
             dataclasses.replace(MachineConfig(), icache=CacheConfig(*geom))
             for geom in ((128, 1, 32), (64, 1, 64))
         ]
+        prep = vector.ReplayPrep(captured.trace)
         keys = [
             vector._icache_prep(
-                captured.trace, Cache(c.icache), c.icache.line_bytes, False
+                prep, Cache(c.icache), c.icache.line_bytes, False
             )["miss_key"]
             for c in configs
         ]
